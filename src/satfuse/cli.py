@@ -6,6 +6,10 @@ machine-readable JSON results.  Structured progress logs (stage name, wall
 time, key outputs) go to standard error; results go to files or standard
 output.
 
+The ``STAGES`` table is the one declaration of each stage's parameters (keys,
+types, defaults, flags): it builds the argument parser, and one check applies
+it to flags, ``train`` run-configs and ``pipeline`` stage objects alike.
+
 Exit codes: 0 success, 1 validation/usage error, 2 I/O error.
 """
 
@@ -15,17 +19,19 @@ import argparse
 import csv
 import json
 import logging
-import os
 import sys
 import time
+from dataclasses import dataclass, fields
+from functools import reduce
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import alignment, forest, metrics, spectral, srcnn, synthetic, training
 from .bsf import read_bsf, write_bsf
-from .errors import SatfuseError, ValidationError
-from .raster import stack_bands
+from .errors import SatfuseError, ValidationError, csv_value_error, parse_errors
+from .raster import stack_bands, translate_pixels
 
 log = logging.getLogger("satfuse")
 
@@ -36,7 +42,8 @@ CONFIG_VERSION = 1
 # helpers
 
 
-def _load_config(path: Path, required: set[str], optional: set[str]) -> dict:
+def _load_config(path: Path) -> dict:
+    """Read a version-checked JSON config; its other keys are stage parameters."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -44,15 +51,8 @@ def _load_config(path: Path, required: set[str], optional: set[str]) -> dict:
         raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: config must be a JSON object")
-    if doc.get("version") != CONFIG_VERSION:
+    if doc.pop("version", None) != CONFIG_VERSION:
         raise ValidationError(f"{path}: missing or unsupported version (expected {CONFIG_VERSION})")
-    keys = set(doc) - {"version"}
-    unknown = keys - required - optional
-    if unknown:
-        raise ValidationError(f"{path}: unknown keys {sorted(unknown)}")
-    missing = required - keys
-    if missing:
-        raise ValidationError(f"{path}: missing keys {sorted(missing)}")
     return doc
 
 
@@ -74,61 +74,53 @@ def _camera_from_arg(arg: str, base: Path) -> spectral.HyperBandSpec:
     if arg == "default269":
         return spectral.default_camera()
     if arg.startswith("even:"):
-        return spectral.evenly_spaced_camera(int(arg.split(":", 1)[1]))
-    with open(_resolve(base, arg)) as fh:
+        count = arg.split(":", 1)[1]
+        if not count.isdigit():
+            raise ValidationError(f"camera {arg!r}: expected even:<band count>")
+        return spectral.evenly_spaced_camera(int(count))
+    path = _resolve(base, arg)
+    with open(path) as fh, parse_errors(path):
         return spectral.HyperBandSpec.from_dict(json.load(fh))
 
 
 # ---------------------------------------------------------------------------
-# stage handlers: plain dicts in, JSON-able dicts out
+# stage handlers: checked dicts in (every parameter present, paths resolved),
+# JSON-able dicts out
 
 
 def run_fit_srf(args: dict, base: Path) -> dict:
-    srf = spectral.SpectralResponseTable.from_csv(_resolve(base, args["srf"]))
-    camera = _camera_from_arg(args.get("camera", "default269"), base)
-    weights = spectral.fit_band_weights(srf, camera)
-    out = _resolve(base, args["out"])
-    weights.save_json(out)
-    return {
-        "out": str(out),
-        "bands": weights.band_names,
-        "residuals": [float(r) for r in weights.residuals],
-        "active_weights": int((weights.weights > 0).sum()),
-    }
+    srf = spectral.SpectralResponseTable.from_csv(args["srf"])
+    weights = spectral.fit_band_weights(srf, _camera_from_arg(args["camera"], base))
+    weights.save_json(args["out"])
+    return {"out": str(args["out"]), "bands": weights.band_names,
+            "residuals": [float(r) for r in weights.residuals],
+            "active_weights": int((weights.weights > 0).sum())}
 
 
 def run_simulate(args: dict, base: Path) -> dict:
-    cube = read_bsf(_resolve(base, args["cube"]))
-    weights = spectral.BandWeights.load_json(_resolve(base, args["weights"]))
-    sim = spectral.simulate_bands(cube, weights)
-    out = _resolve(base, args["out"])
-    write_bsf(sim, out)
-    return {"out": str(out), "bands": sim.band_names,
+    cube = read_bsf(args["cube"])
+    sim = spectral.simulate_bands(cube, spectral.BandWeights.load_json(args["weights"]))
+    write_bsf(sim, args["out"])
+    return {"out": str(args["out"]), "bands": sim.band_names,
             "shape": [sim.n_bands, sim.grid.height, sim.grid.width]}
 
 
 def run_align(args: dict, base: Path) -> dict:
-    fine = read_bsf(_resolve(base, args["fine"]))
-    coarse = read_bsf(_resolve(base, args["coarse"]))
-    snapped = alignment.snap_to_grid(fine, coarse.grid, float(args["target_pixel"]))
-    if args.get("apply_shift"):
-        with open(_resolve(base, args["apply_shift"])) as fh:
-            report = json.load(fh)
-        dx, dy = (int(v) for v in report["shift_px"])
-        from .raster import translate_pixels
-
+    fine = read_bsf(args["fine"])
+    coarse = read_bsf(args["coarse"])
+    snapped = alignment.snap_to_grid(fine, coarse.grid, args["target_pixel"])
+    if args["apply_shift"]:
+        with open(args["apply_shift"]) as fh, parse_errors(args["apply_shift"]):
+            dx, dy = (int(v) for v in json.load(fh)["shift_px"])
         snapped = translate_pixels(snapped, dx, dy)
-    out = _resolve(base, args["out"])
-    write_bsf(snapped, out)
-    return {"out": str(out),
+    write_bsf(snapped, args["out"])
+    return {"out": str(args["out"]),
             "origin": [snapped.grid.origin_x, snapped.grid.origin_y],
             "shape": [snapped.n_bands, snapped.grid.height, snapped.grid.width]}
 
 
 def run_register(args: dict, base: Path) -> dict:
-    fine = read_bsf(_resolve(base, args["fine"]))
-    coarse = read_bsf(_resolve(base, args["coarse"]))
-    est = alignment.register(fine, coarse)
+    est = alignment.register(read_bsf(args["fine"]), read_bsf(args["coarse"]))
     result = {
         "shift_m": [est.shift_x, est.shift_y],
         "shift_px": list(est.shift_px),
@@ -137,78 +129,65 @@ def run_register(args: dict, base: Path) -> dict:
         "offsets": np.asarray(est.offsets).tolist(),
         "evaluations": est.evaluations,
     }
-    if args.get("out"):
-        _emit(result, _resolve(base, args["out"]))
+    if args["out"]:
+        _emit(result, args["out"])
     return result
 
 
 def run_train(args: dict, base: Path) -> dict:
-    arch = srcnn.preset(args["preset"]) if "preset" in args else srcnn.ArchConfig.from_dict(args["arch"])
+    if (args["preset"] is None) == (args["arch"] is None):
+        raise ValidationError("train: exactly one of 'preset' or 'arch' is required")
+    if (args["pairs"] is None) == (args["manifest"] is None):
+        raise ValidationError("train: exactly one of 'pairs' or 'manifest' is required")
 
     def load_pairs(entries):
-        return [(read_bsf(_resolve(base, e["input"])), read_bsf(_resolve(base, e["target"])))
-                for e in entries]
+        return [(read_bsf(_resolve(base, i)), read_bsf(_resolve(base, t))) for i, t in entries]
 
-    if "manifest" in args:
-        manifest = synthetic.load_manifest(_resolve(base, args["manifest"]))
-        variant = args.get("variant", "stacked")
-        pairs = synthetic.assemble_pairs(manifest, args.get("train_split", "train"), variant)
-        val_pairs = synthetic.assemble_pairs(manifest, args.get("val_split", "val"), variant) or None
+    if args["manifest"] is not None:
+        manifest = synthetic.load_manifest(args["manifest"])
+        pairs = synthetic.assemble_pairs(manifest, args["train_split"], args["variant"])
+        val_pairs = synthetic.assemble_pairs(manifest, args["val_split"], args["variant"]) or None
     else:
         pairs = load_pairs(args["pairs"])
-        val_pairs = load_pairs(args["val_pairs"]) if args.get("val_pairs") else None
+        val_pairs = load_pairs(args["val_pairs"]) if args["val_pairs"] else None
 
-    cfg_keys = {f.name for f in training.TrainConfig.__dataclass_fields__.values()}
-    cfg = training.TrainConfig(**{k: v for k, v in args.items() if k in cfg_keys})
-    model, loss_log = training.train(arch, pairs, cfg, val_pairs=val_pairs)
-
-    ckpt = _resolve(base, args["out_checkpoint"])
-    srcnn.save_checkpoint(model, ckpt)
-    result = {
-        "checkpoint": str(ckpt),
-        "parameters": model.parameter_count(),
-        "train_meta": model.train_meta,
-    }
-    if args.get("out_loss_log"):
-        loss_path = _resolve(base, args["out_loss_log"])
-        training.loss_log_to_csv(loss_log, loss_path)
-        result["loss_log"] = str(loss_path)
+    cfg = training.TrainConfig(**{f.name: args[f.name] for f in fields(training.TrainConfig)})
+    model, loss_log = training.train(args["preset"] or args["arch"], pairs, cfg,
+                                     val_pairs=val_pairs)
+    srcnn.save_checkpoint(model, args["out_checkpoint"])
+    result = {"checkpoint": str(args["out_checkpoint"]), "parameters": model.parameter_count(),
+              "train_meta": model.train_meta}
+    if args["out_loss_log"]:
+        training.loss_log_to_csv(loss_log, args["out_loss_log"])
+        result["loss_log"] = str(args["out_loss_log"])
     return result
 
 
 def run_infer(args: dict, base: Path) -> dict:
-    model = srcnn.load_checkpoint(_resolve(base, args["checkpoint"]))
-    inputs = [read_bsf(_resolve(base, p)) for p in args["inputs"]]
-    raster = inputs[0]
-    for extra in inputs[1:]:
-        raster = stack_bands(raster, extra)
-    band_names = args.get("band_names")
-    out_raster = srcnn.infer_tiled(model, raster, band_names=band_names)
-    out = _resolve(base, args["out"])
-    write_bsf(out_raster, out)
-    return {"out": str(out),
+    model = srcnn.load_checkpoint(args["checkpoint"])
+    raster = reduce(stack_bands, [read_bsf(_resolve(base, p)) for p in args["inputs"]])
+    out_raster = srcnn.infer_tiled(model, raster, band_names=args["band_names"])
+    write_bsf(out_raster, args["out"])
+    return {"out": str(args["out"]),
             "shape": [out_raster.n_bands, out_raster.grid.height, out_raster.grid.width]}
 
 
 def run_evaluate(args: dict, base: Path) -> dict:
-    pred = read_bsf(_resolve(base, args["pred"]))
-    truth = read_bsf(_resolve(base, args["truth"]))
-    report = metrics.evaluate(pred, truth, per_band=bool(args.get("per_band")))
+    report = metrics.evaluate(read_bsf(args["pred"]), read_bsf(args["truth"]),
+                              per_band=args["per_band"])
     result = report.to_dict()
-    result["site"] = args.get("site", "")
-    result["date"] = args.get("date", "")
-    if args.get("csv"):
-        csv_path = _resolve(base, args["csv"])
-        new = not csv_path.exists()
-        with open(csv_path, "a", newline="") as fh:
+    result.update(site=args["site"], date=args["date"])
+    if args["csv"]:
+        new = not args["csv"].exists()
+        with open(args["csv"], "a", newline="") as fh:
             writer = csv.writer(fh)
             if new:
                 writer.writerow(["site", "date", "rmse", "mae", "psnr", "n_valid"])
             writer.writerow([result["site"], result["date"], repr(report.rmse),
                              repr(report.mae), repr(report.psnr), report.n_valid])
-        result["csv"] = str(csv_path)
-    if args.get("out"):
-        _emit(result, _resolve(base, args["out"]))
+        result["csv"] = str(args["csv"])
+    if args["out"]:
+        _emit(result, args["out"])
     return result
 
 
@@ -218,88 +197,225 @@ def run_rf_samples(args: dict, base: Path) -> dict:
     The quadrat definitions CSV carries ``id,x_m,y_m,side_m,target`` (field
     measurements); band columns are appended from the raster.
     """
-    raster = read_bsf(_resolve(base, args["raster"]))
+    raster = read_bsf(args["raster"])
     quadrats, targets = [], []
-    with open(_resolve(base, args["quadrats"]), newline="") as fh:
+    with open(args["quadrats"], newline="") as fh:
         reader = csv.DictReader(fh)
         required = {"id", "x_m", "y_m", "side_m", "target"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise ValidationError(f"quadrat CSV must have columns {sorted(required)}")
         for row in reader:
-            quadrats.append(forest.Quadrat(row["id"], float(row["x_m"]),
-                                           float(row["y_m"]), float(row["side_m"])))
-            targets.append(float(row["target"]))
+            try:
+                quadrats.append(forest.Quadrat(row["id"], float(row["x_m"]),
+                                               float(row["y_m"]), float(row["side_m"])))
+                targets.append(float(row["target"]))
+            except (TypeError, ValueError):
+                raise csv_value_error(args["quadrats"], reader.line_num, row,
+                                      ("x_m", "y_m", "side_m", "target")) from None
     feats = forest.extract_quadrat_features(raster, quadrats)
-    out = _resolve(base, args["out"])
-    forest.save_samples_csv(out, quadrats, targets, feats, raster.band_names)
-    return {"out": str(out), "n_samples": len(quadrats), "bands": raster.band_names}
+    forest.save_samples_csv(args["out"], quadrats, targets, feats, raster.band_names)
+    return {"out": str(args["out"]), "n_samples": len(quadrats), "bands": raster.band_names}
 
 
 def run_rf_fit(args: dict, base: Path) -> dict:
-    quadrats, y, X, band_names = forest.load_samples_csv(_resolve(base, args["samples"]))
-    cfg = forest.ForestConfig(
-        n_trees=int(args.get("n_trees", 500)),
-        min_samples_leaf=int(args.get("min_samples_leaf", 1)),
-        bootstrap=bool(args.get("bootstrap", True)),
-    )
-    model = forest.fit_forest(X, y, cfg, seed=int(args.get("seed", 0)))
-    out = _resolve(base, args["out"])
-    model.to_json(out)
-    return {"out": str(out), "n_samples": len(y), "n_features": X.shape[1],
+    quadrats, y, X, band_names = forest.load_samples_csv(args["samples"])
+    cfg = forest.ForestConfig(n_trees=args["n_trees"], min_samples_leaf=args["min_samples_leaf"],
+                              bootstrap=args["bootstrap"])
+    model = forest.fit_forest(X, y, cfg, seed=args["seed"])
+    model.to_json(args["out"])
+    return {"out": str(args["out"]), "n_samples": len(y), "n_features": X.shape[1],
             "bands": band_names, "oob_r2": forest.oob_r2(model, X, y) if cfg.bootstrap else None}
 
 
 def run_rf_cv(args: dict, base: Path) -> dict:
-    _, y, X, _ = forest.load_samples_csv(_resolve(base, args["samples"]))
-    cfg = forest.ForestConfig(n_trees=int(args.get("n_trees", 500)))
-    report = forest.cross_validate(X, y, k=int(args.get("k", 5)), cfg=cfg,
-                                   seed=int(args.get("seed", 0)))
-    if args.get("out"):
-        _emit(report, _resolve(base, args["out"]))
+    _, y, X, _ = forest.load_samples_csv(args["samples"])
+    cfg = forest.ForestConfig(n_trees=args["n_trees"])
+    report = forest.cross_validate(X, y, k=args["k"], cfg=cfg, seed=args["seed"])
+    if args["out"]:
+        _emit(report, args["out"])
     return report
 
 
 def run_gen_synthetic(args: dict, base: Path) -> dict:
-    cfg_keys = {f.name for f in synthetic.SceneConfig.__dataclass_fields__.values()}
-    overrides = {k: v for k, v in args.items() if k in cfg_keys}
-    if "shift" in overrides:
-        overrides["shift"] = tuple(int(v) for v in overrides["shift"])
-    cfg = synthetic.SceneConfig(**overrides)
-    manifest = synthetic.make_fusion_dataset(cfg, int(args.get("scenes", 8)), _resolve(base, args["out"]))
-    return {"out": str(_resolve(base, args["out"])),
+    cfg = synthetic.SceneConfig(**{f.name: args[f.name] for f in fields(synthetic.SceneConfig)})
+    manifest = synthetic.make_fusion_dataset(cfg, args["scenes"], args["out"])
+    return {"out": str(args["out"]),
             "scenes": [{"id": s["id"], "split": s["split"]} for s in manifest["scenes"]]}
 
 
-STAGES = {
-    "fit-srf": run_fit_srf,
-    "simulate": run_simulate,
-    "align": run_align,
-    "register": run_register,
-    "train": run_train,
-    "infer": run_infer,
-    "evaluate": run_evaluate,
-    "rf-samples": run_rf_samples,
-    "rf-fit": run_rf_fit,
-    "rf-cv": run_rf_cv,
-    "gen-synthetic": run_gen_synthetic,
-}
-
-
 def run_pipeline(args: dict, base: Path) -> dict:
-    doc = _load_config(_resolve(base, args["config"]), {"stages"}, set())
-    results = []
-    cfg_base = _resolve(base, args["config"]).parent
-    for i, stage in enumerate(doc["stages"]):
-        if not isinstance(stage, dict) or "stage" not in stage:
-            raise ValidationError(f"pipeline stage {i} must be an object with a 'stage' key")
-        name = stage["stage"]
-        if name not in STAGES:
+    # check every stage before running any: a typo in the last stage fails at once
+    plan = []
+    for i, raw in enumerate(args["stages"]):
+        if not isinstance(raw, dict) or not isinstance(raw.get("stage"), str):
+            raise ValidationError(f"pipeline stage {i} must be an object with a 'stage' name")
+        name = raw["stage"]
+        if name not in STAGES or name == "pipeline":
             raise ValidationError(f"pipeline stage {i}: unknown stage {name!r}")
+        given = {k: v for k, v in raw.items() if k != "stage"}
+        plan.append((name, _stage_args(STAGES[name], given, f"pipeline stage {i} ({name})", base)))
+    results = []
+    for name, stage_args in plan:
         t0 = time.time()
-        result = STAGES[name]({k: v for k, v in stage.items() if k != "stage"}, cfg_base)
+        result = STAGES[name].handler(stage_args, base)
         log.info("stage=%s wall=%.2fs", name, time.time() - t0)
         results.append({"stage": name, "result": result})
     return {"stages": results}
+
+
+# ---------------------------------------------------------------------------
+# the stage table
+
+
+REQUIRED = object()
+
+
+@dataclass(frozen=True)
+class Param:
+    """One stage parameter.  ``type`` converts a flag string or a JSON value;
+    ``Path`` values are resolved against the stage's base directory.  ``flag``
+    is ``None`` for ``--<key>`` and ``False`` for a key only configs accept."""
+
+    key: str
+    type: Callable = Path
+    default: object = REQUIRED
+    flag: str | bool | None = None
+    help: str | None = None
+    action: str = "store"
+
+    @property
+    def option(self) -> str | None:
+        return None if self.flag is False else self.flag or "--" + self.key.replace("_", "-")
+
+
+@dataclass(frozen=True)
+class Stage:
+    handler: Callable[[dict, Path], dict]
+    help: str
+    params: tuple[Param, ...]
+    # read the parameters from the JSON file named by --config, not from flags
+    config_file: bool = False
+
+
+def _bool(v) -> bool:
+    if v not in (True, False):
+        raise ValueError(f"expected true or false, got {v!r}")
+    return bool(v)
+
+
+def _names(v) -> list[str]:
+    return v.split(",") if isinstance(v, str) else [str(item) for item in v]
+
+
+def _shift(v) -> tuple[int, int]:
+    dx, dy = v.split(",") if isinstance(v, str) else v
+    return int(dx), int(dy)
+
+
+def _pairs(v) -> list[tuple[str, str]]:
+    return [(str(e["input"]), str(e["target"])) for e in v]
+
+
+_SCENE = synthetic.SceneConfig()
+_TRAIN = training.TrainConfig()
+_FOREST = forest.ForestConfig()
+
+STAGES: dict[str, Stage] = {
+    "fit-srf": Stage(run_fit_srf, "fit nonnegative band weights to a response table", (
+        Param("srf"),
+        Param("camera", str, "default269", help="default269, even:<K>, or a camera JSON path"),
+        Param("out", flag="--out-weights"),
+    )),
+    "simulate": Stage(run_simulate, "apply band weights to a hyperspectral cube", (
+        Param("cube"), Param("weights"), Param("out", flag="--out-raster"),
+    )),
+    "align": Stage(run_align, "snap a fine raster onto the coarse sensor grid", (
+        Param("fine"), Param("coarse"), Param("target_pixel", float),
+        Param("apply_shift", Path, None, help="JSON report from `register`"),
+        Param("out", flag="--out-raster"),
+    )),
+    "register": Stage(run_register, "estimate the residual translation", (
+        Param("fine"), Param("coarse"), Param("out", Path, None, False),
+    )),
+    "train": Stage(run_train, "train a model from a JSON run-config", (
+        Param("preset", srcnn.preset, None), Param("arch", srcnn.ArchConfig.from_dict, None),
+        Param("pairs", _pairs, None), Param("val_pairs", _pairs, None),
+        Param("manifest", Path, None), Param("variant", str, "stacked"),
+        Param("train_split", str, "train"), Param("val_split", str, "val"),
+        Param("out_checkpoint"), Param("out_loss_log", Path, None),
+        Param("scale", int, _TRAIN.scale), Param("patch_coarse", int, _TRAIN.patch_coarse),
+        Param("patch_stride_coarse", int, None), Param("batch_size", int, _TRAIN.batch_size),
+        Param("learning_rate", float, _TRAIN.learning_rate), Param("epochs", int, _TRAIN.epochs),
+        Param("beta1", float, _TRAIN.beta1), Param("beta2", float, _TRAIN.beta2),
+        Param("eps", float, _TRAIN.eps), Param("seed", int, _TRAIN.seed), Param("split", str, None),
+        Param("validation_fraction", float, _TRAIN.validation_fraction),
+    ), config_file=True),
+    "infer": Stage(run_infer, "run a checkpoint over band-stack inputs", (
+        Param("checkpoint"),
+        Param("inputs", _names, REQUIRED, "--input", action="append",
+              help="input raster; repeat to stack bands in order"),
+        Param("band_names", _names, None, help="comma-separated output band names"),
+        Param("out", flag="--out-raster"),
+    )),
+    "evaluate": Stage(run_evaluate, "image-fidelity metrics between two rasters", (
+        Param("pred"), Param("truth"), Param("per_band", _bool, False, action="store_true"),
+        Param("site", str, ""), Param("date", str, ""),
+        Param("csv", Path, None, help="append a row to this CSV report"),
+        Param("out", Path, None, False),
+    )),
+    "rf-samples": Stage(run_rf_samples, "extract quadrat band means into a samples CSV", (
+        Param("raster"), Param("quadrats", help="CSV with id,x_m,y_m,side_m,target"),
+        Param("out", flag="--out-samples"),
+    )),
+    "rf-fit": Stage(run_rf_fit, "fit a random forest from a samples CSV", (
+        Param("samples"), Param("n_trees", int, _FOREST.n_trees), Param("seed", int, 0),
+        Param("out", flag="--out-model"),
+        Param("min_samples_leaf", int, _FOREST.min_samples_leaf, False),
+        Param("bootstrap", _bool, _FOREST.bootstrap, False),
+    )),
+    "rf-cv": Stage(run_rf_cv, "k-fold cross-validation of the forest", (
+        Param("samples"), Param("k", int, 5), Param("n_trees", int, _FOREST.n_trees),
+        Param("seed", int, 0), Param("out", Path, None, False),
+    )),
+    "gen-synthetic": Stage(run_gen_synthetic, "generate a synthetic fusion dataset", (
+        Param("seed", int, _SCENE.seed), Param("scenes", int, 8),
+        Param("width", int, _SCENE.width), Param("height", int, _SCENE.height),
+        Param("scale", int, _SCENE.scale), Param("n_bands", int, _SCENE.n_bands, "--bands"),
+        Param("n_endmembers", int, _SCENE.n_endmembers, "--endmembers"),
+        Param("smoothness", float, _SCENE.smoothness),
+        Param("noise_sigma", float, _SCENE.noise_sigma, "--noise"),
+        Param("shift", _shift, _SCENE.shift, help="injected shift as 'dx,dy' fine pixels"),
+        Param("out", flag="--out-dir"),
+        Param("gain", float, _SCENE.gain, False), Param("offset", float, _SCENE.offset, False),
+        Param("pixel_m", float, _SCENE.pixel_m, False), Param("fwhm", float, None, False),
+        Param("endmember_seed", int, None, False),
+    )),
+    "pipeline": Stage(run_pipeline, "run an ordered stage list from one config", (
+        Param("stages", list),
+    ), config_file=True),
+}
+
+
+def _stage_args(stage: Stage, given: dict, where: str, base: Path) -> dict:
+    """Check `given` against the stage's parameters; return all of them, converted."""
+    unknown = set(given) - {p.key for p in stage.params}
+    if unknown:
+        raise ValidationError(f"{where}: unknown keys {sorted(unknown)}")
+    missing = [p.key for p in stage.params if p.default is REQUIRED and p.key not in given]
+    if missing:
+        raise ValidationError(f"{where}: missing keys {missing}")
+    args = {p.key: p.default for p in stage.params}
+    for p in stage.params:
+        # a None value where None is the default means "not given"
+        if p.key not in given or (given[p.key] is None and p.default is None):
+            continue
+        try:
+            args[p.key] = p.type(given[p.key])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"{where}: bad value for {p.key!r}: {exc}") from exc
+        if p.type is Path:
+            args[p.key] = _resolve(base, args[p.key])
+    return args
 
 
 # ---------------------------------------------------------------------------
@@ -314,143 +430,21 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="satfuse", description=__doc__)
-    parser.add_argument("--threads", type=int, default=os.cpu_count(),
-                        help="worker hint for library stages (results are identical at any value)")
-    parser.add_argument("--out", default=None, help="write the JSON result here instead of stdout")
+    parser.add_argument("--out", dest="result_out", metavar="OUT", default=None,
+                        help="write the JSON result here instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("fit-srf", help="fit nonnegative band weights to a response table")
-    p.add_argument("--srf", required=True)
-    p.add_argument("--camera", default="default269",
-                   help="default269, even:<K>, or a camera JSON path")
-    p.add_argument("--out-weights", dest="weights_out", required=True)
-
-    p = sub.add_parser("simulate", help="apply band weights to a hyperspectral cube")
-    p.add_argument("--cube", required=True)
-    p.add_argument("--weights", required=True)
-    p.add_argument("--out-raster", dest="raster_out", required=True)
-
-    p = sub.add_parser("align", help="snap a fine raster onto the coarse sensor grid")
-    p.add_argument("--fine", required=True)
-    p.add_argument("--coarse", required=True)
-    p.add_argument("--target-pixel", type=float, required=True)
-    p.add_argument("--apply-shift", default=None, help="JSON report from `register`")
-    p.add_argument("--out-raster", dest="raster_out", required=True)
-
-    p = sub.add_parser("register", help="estimate the residual translation")
-    p.add_argument("--fine", required=True)
-    p.add_argument("--coarse", required=True)
-
-    p = sub.add_parser("train", help="train a model from a JSON run-config")
-    p.add_argument("--config", required=True)
-
-    p = sub.add_parser("infer", help="run a checkpoint over band-stack inputs")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--input", dest="inputs", action="append", required=True,
-                   help="input raster; repeat to stack bands in order")
-    p.add_argument("--band-names", default=None, help="comma-separated output band names")
-    p.add_argument("--out-raster", dest="raster_out", required=True)
-
-    p = sub.add_parser("evaluate", help="image-fidelity metrics between two rasters")
-    p.add_argument("--pred", required=True)
-    p.add_argument("--truth", required=True)
-    p.add_argument("--per-band", action="store_true")
-    p.add_argument("--site", default="")
-    p.add_argument("--date", default="")
-    p.add_argument("--csv", default=None, help="append a row to this CSV report")
-
-    p = sub.add_parser("rf-samples", help="extract quadrat band means into a samples CSV")
-    p.add_argument("--raster", required=True)
-    p.add_argument("--quadrats", required=True, help="CSV with id,x_m,y_m,side_m,target")
-    p.add_argument("--out-samples", dest="samples_out", required=True)
-
-    p = sub.add_parser("rf-fit", help="fit a random forest from a samples CSV")
-    p.add_argument("--samples", required=True)
-    p.add_argument("--n-trees", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out-model", dest="model_out", required=True)
-
-    p = sub.add_parser("rf-cv", help="k-fold cross-validation of the forest")
-    p.add_argument("--samples", required=True)
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--n-trees", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("gen-synthetic", help="generate a synthetic fusion dataset")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scenes", type=int, default=8)
-    p.add_argument("--width", type=int, default=640)
-    p.add_argument("--height", type=int, default=640)
-    p.add_argument("--scale", type=int, default=8)
-    p.add_argument("--bands", type=int, default=24)
-    p.add_argument("--endmembers", type=int, default=5)
-    p.add_argument("--smoothness", type=float, default=4.0)
-    p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--shift", default="0,0", help="injected shift as 'dx,dy' fine pixels")
-    p.add_argument("--out-dir", dest="dir_out", required=True)
-
-    p = sub.add_parser("pipeline", help="run an ordered stage list from one config")
-    p.add_argument("--config", required=True)
-
+    for name, stage in STAGES.items():
+        p = sub.add_parser(name, help=stage.help, description=stage.help)
+        if stage.config_file:
+            keys = ", ".join(prm.key for prm in stage.params)
+            p.add_argument("--config", required=True, help=f"JSON config with the keys {keys}")
+            continue
+        for prm in stage.params:
+            if prm.option:
+                # absent flags stay absent, so _stage_args fills in every default
+                p.add_argument(prm.option, dest=prm.key, action=prm.action, help=prm.help,
+                               required=prm.default is REQUIRED, default=argparse.SUPPRESS)
     return parser
-
-
-def _namespace_to_stage_args(ns: argparse.Namespace) -> dict:
-    base = Path.cwd()
-    cmd = ns.command
-    if cmd == "fit-srf":
-        return {"srf": ns.srf, "camera": ns.camera, "out": ns.weights_out}
-    if cmd == "simulate":
-        return {"cube": ns.cube, "weights": ns.weights, "out": ns.raster_out}
-    if cmd == "align":
-        args = {"fine": ns.fine, "coarse": ns.coarse,
-                "target_pixel": ns.target_pixel, "out": ns.raster_out}
-        if ns.apply_shift:
-            args["apply_shift"] = ns.apply_shift
-        return args
-    if cmd == "register":
-        return {"fine": ns.fine, "coarse": ns.coarse}
-    if cmd == "train":
-        doc = _load_config(
-            Path(ns.config),
-            required={"out_checkpoint"},
-            optional={"preset", "arch", "pairs", "val_pairs", "manifest", "variant",
-                      "train_split", "val_split", "out_loss_log", "scale", "patch_coarse",
-                      "patch_stride_coarse", "batch_size", "learning_rate", "beta1",
-                      "beta2", "eps", "epochs", "seed", "validation_fraction", "split"},
-        )
-        if ("preset" in doc) == ("arch" in doc):
-            raise ValidationError(f"{ns.config}: exactly one of 'preset' or 'arch' is required")
-        if ("pairs" in doc) == ("manifest" in doc):
-            raise ValidationError(f"{ns.config}: exactly one of 'pairs' or 'manifest' is required")
-        doc.pop("version")
-        doc["_base"] = str(Path(ns.config).resolve().parent)
-        return doc
-    if cmd == "infer":
-        args = {"checkpoint": ns.checkpoint, "inputs": ns.inputs, "out": ns.raster_out}
-        if ns.band_names:
-            args["band_names"] = ns.band_names.split(",")
-        return args
-    if cmd == "evaluate":
-        return {"pred": ns.pred, "truth": ns.truth, "per_band": ns.per_band,
-                "site": ns.site, "date": ns.date, "csv": ns.csv}
-    if cmd == "rf-samples":
-        return {"raster": ns.raster, "quadrats": ns.quadrats, "out": ns.samples_out}
-    if cmd == "rf-fit":
-        return {"samples": ns.samples, "n_trees": ns.n_trees, "seed": ns.seed,
-                "out": ns.model_out}
-    if cmd == "rf-cv":
-        return {"samples": ns.samples, "k": ns.k, "n_trees": ns.n_trees, "seed": ns.seed}
-    if cmd == "gen-synthetic":
-        return {"seed": ns.seed, "scenes": ns.scenes, "width": ns.width,
-                "height": ns.height, "scale": ns.scale, "n_bands": ns.bands,
-                "n_endmembers": ns.endmembers, "smoothness": ns.smoothness,
-                "noise_sigma": ns.noise,
-                "shift": [int(v) for v in ns.shift.split(",")],
-                "out": ns.dir_out}
-    if cmd == "pipeline":
-        return {"config": ns.config}
-    raise ValidationError(f"unknown subcommand {cmd!r}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -459,14 +453,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)
-        stage_args = _namespace_to_stage_args(ns)
-        base = Path(stage_args.pop("_base", Path.cwd()))
-        handler = run_pipeline if ns.command == "pipeline" else STAGES[ns.command]
-        log.info("stage=%s threads=%d", ns.command, ns.threads)
+        stage = STAGES[ns.command]
+        if stage.config_file:
+            path = _resolve(Path.cwd(), ns.config)
+            given, where, base = _load_config(path), ns.config, path.parent
+        else:
+            given = {p.key: getattr(ns, p.key) for p in stage.params if hasattr(ns, p.key)}
+            where, base = ns.command, Path.cwd()
+        args = _stage_args(stage, given, where, base)
         t0 = time.time()
-        result = handler(stage_args, base)
+        result = stage.handler(args, base)
         log.info("stage=%s wall=%.2fs", ns.command, time.time() - t0)
-        _emit(result, Path(ns.out) if ns.out else None)
+        _emit(result, Path(ns.result_out) if ns.result_out else None)
         return 0
     except SatfuseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all satfuse modules."""
+"""Exception hierarchy shared by all satfuse modules, plus the helpers file
+readers use to turn a parse failure into one of these errors."""
+
+from contextlib import contextmanager
 
 
 class SatfuseError(Exception):
@@ -69,3 +72,32 @@ class DataError(SatfuseError):
 
 class PartitionError(SatfuseError):
     """Cross-validation partition cannot be formed."""
+
+
+@contextmanager
+def parse_errors(source):
+    """Re-raise a failure to parse `source` inside the block as a FormatError.
+
+    A missing key is reported as a missing field; a wrong type, length or
+    value keeps the parser's own message.  Both name `source`.
+    """
+    try:
+        yield
+    except KeyError as exc:
+        raise FormatError(f"{source}: missing field {exc}") from exc
+    except (IndexError, TypeError, ValueError) as exc:
+        raise FormatError(f"{source}: {type(exc).__name__}: {exc}") from exc
+
+
+def csv_value_error(source, line, row: dict, columns) -> FormatError:
+    """The error for a CSV row in which some of `columns` are missing or not numbers."""
+
+    def parses(value):
+        try:
+            float(value)
+            return True
+        except (TypeError, ValueError):
+            return False
+
+    bad = {col: row.get(col) for col in columns if not parses(row.get(col))}
+    return FormatError(f"{source}, line {line}: missing or not a number: {bad}")

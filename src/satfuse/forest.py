@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CoverageError, PartitionError, SchemaError, ValidationError
+from .errors import (CoverageError, FormatError, PartitionError, SchemaError, ValidationError,
+                     csv_value_error, parse_errors)
 from .raster import Raster
 
 __all__ = [
@@ -242,25 +243,25 @@ class ForestModel:
 
     @classmethod
     def from_json(cls, path) -> "ForestModel":
-        with open(path) as fh:
+        with open(path) as fh, parse_errors(path):
             doc = json.load(fh)
-        trees = [
-            _Tree(
-                np.array(t["feature"], dtype=np.int64),
-                np.array(t["threshold"]),
-                np.array(t["left"], dtype=np.int64),
-                np.array(t["right"], dtype=np.int64),
-                np.array(t["value"]),
+            trees = [
+                _Tree(
+                    np.array(t["feature"], dtype=np.int64),
+                    np.array(t["threshold"]),
+                    np.array(t["left"], dtype=np.int64),
+                    np.array(t["right"], dtype=np.int64),
+                    np.array(t["value"]),
+                )
+                for t in doc["trees"]
+            ]
+            return cls(
+                trees,
+                ForestConfig(**doc["config"]),
+                int(doc["seed"]),
+                int(doc["n_features"]),
+                tuple(doc["target_range"]),
             )
-            for t in doc["trees"]
-        ]
-        return cls(
-            trees,
-            ForestConfig(**doc["config"]),
-            int(doc["seed"]),
-            int(doc["n_features"]),
-            tuple(doc["target_range"]),
-        )
 
 
 def fit_forest(X: np.ndarray, y: np.ndarray, cfg: ForestConfig | None = None, seed: int = 0) -> ForestModel:
@@ -410,7 +411,14 @@ def load_samples_csv(path):
         band_names = header[len(fixed):]
         quadrats, targets, rows = [], [], []
         for row in reader:
-            quadrats.append(Quadrat(row[0], float(row[1]), float(row[2]), float(row[3])))
-            targets.append(float(row[4]))
-            rows.append([float(v) for v in row[5:]])
+            if len(row) != len(header):
+                raise FormatError(f"{path}, line {reader.line_num}: "
+                                  f"expected {len(header)} fields, found {len(row)}")
+            try:
+                quadrats.append(Quadrat(row[0], float(row[1]), float(row[2]), float(row[3])))
+                targets.append(float(row[4]))
+                rows.append([float(v) for v in row[5:]])
+            except ValueError:
+                raise csv_value_error(path, reader.line_num, dict(zip(header, row)),
+                                      header[1:]) from None
     return quadrats, np.array(targets), np.array(rows), band_names

@@ -12,7 +12,7 @@ stay 32-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,8 +107,6 @@ class Raster:
     band_names: list[str]
     mask: np.ndarray = None
     wavelengths: np.ndarray | None = None
-    # kept for callers that want to tag products; not serialized
-    tags: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float32)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SchemaError, ValidationError
+from .errors import DomainError, SchemaError, ValidationError, csv_value_error, parse_errors
 from .nnls import nnls
 from .raster import Raster
 
@@ -108,9 +108,12 @@ class SpectralResponseTable:
                     f"response table CSV must have columns {sorted(required)}"
                 )
             for row in reader:
-                rows.setdefault(row["band"], []).append(
-                    (float(row["wavelength_nm"]), float(row["response"]))
-                )
+                try:
+                    sample = (float(row["wavelength_nm"]), float(row["response"]))
+                except (TypeError, ValueError):
+                    raise csv_value_error(path, reader.line_num, row,
+                                          ("wavelength_nm", "response")) from None
+                rows.setdefault(row["band"], []).append(sample)
         bands = {}
         for name, samples in rows.items():
             samples.sort()
@@ -239,13 +242,13 @@ class BandWeights:
 
     @classmethod
     def load_json(cls, path) -> "BandWeights":
-        with open(path) as fh:
+        with open(path) as fh, parse_errors(path):
             doc = json.load(fh)
-        camera = HyperBandSpec.from_dict(doc["camera"])
-        names = [b["name"] for b in doc["bands"]]
-        weights = np.array([b["weights"] for b in doc["bands"]], dtype=np.float64)
-        residuals = np.array([b["residual"] for b in doc["bands"]])
-        norms = np.array([b["normalization"] for b in doc["bands"]])
+            camera = HyperBandSpec.from_dict(doc["camera"])
+            names = [b["name"] for b in doc["bands"]]
+            weights = np.array([b["weights"] for b in doc["bands"]], dtype=np.float64)
+            residuals = np.array([b["residual"] for b in doc["bands"]])
+            norms = np.array([b["normalization"] for b in doc["bands"]])
         return cls(camera, names, weights, residuals, norms)
 
 

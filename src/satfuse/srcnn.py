@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, CorruptionError, ShapeError
+from .errors import ConfigError, CorruptionError, FormatError, ShapeError, parse_errors
 from .raster import Raster
 
 __all__ = [
@@ -429,7 +429,12 @@ def load_checkpoint(path) -> SrcnnModel:
         header = json.loads(data[4 : 4 + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptionError(f"checkpoint header is not valid JSON: {exc}") from exc
-    arch = ArchConfig.from_dict(header["arch"])
+    if not isinstance(header, dict):
+        raise FormatError(f"{path}: checkpoint header must be a JSON object")
+    with parse_errors(f"{path}: checkpoint header"):
+        arch = ArchConfig.from_dict(header["arch"])
+        seed = int(header.get("seed", 0))
+        train_meta = dict(header.get("train_meta", {}))
     payload = data[4 + hlen :]
     expected = arch.parameter_count() * 4
     if header.get("payload_bytes") != len(payload) or len(payload) != expected:
@@ -446,7 +451,7 @@ def load_checkpoint(path) -> SrcnnModel:
         n = int(np.prod(shape))
         weights.append(flat[pos : pos + n].reshape(shape).copy())
         pos += n
-    model = SrcnnModel(arch, weights, int(header.get("seed", 0)))
-    model.train_meta = dict(header.get("train_meta", {}))
+    model = SrcnnModel(arch, weights, seed)
+    model.train_meta = train_meta
     return model
 

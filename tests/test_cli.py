@@ -1,10 +1,11 @@
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from satfuse.bsf import read_bsf, write_bsf
-from satfuse.cli import main
+from satfuse.cli import STAGES, main
 from satfuse.forest import Quadrat, save_samples_csv
 from satfuse.spectral import synthetic_vnir_srf
 from satfuse.synthetic import SceneConfig, make_fusion_dataset
@@ -295,3 +296,100 @@ class TestRfCommands:
         code, doc2 = run_cli(capsys, "rf-cv", "--samples", str(samples),
                              "--k", "5", "--n-trees", "50", "--seed", "1")
         assert doc == doc2
+
+
+def _checkpoint(header) -> bytes:
+    data = json.dumps(header).encode()
+    return struct.pack("<I", len(data)) + data
+
+
+def _pipeline(*stages) -> str:
+    return json.dumps({"version": 1, "stages": list(stages)})
+
+
+_SAMPLES_HEAD = "id,x_m,y_m,side_m,target,B2\n"
+
+# (files to write, argv); every case is malformed input that must end in exit 1
+# with an "error:" line, never a traceback.  `r.bsf`, `srf.csv` and
+# `samples.csv` are valid inputs written for every case.
+CONTRACT_CASES = {
+    "checkpoint-without-arch": (
+        {"m.ckpt": _checkpoint({"seed": 0})},
+        ["infer", "--checkpoint", "m.ckpt", "--input", "r.bsf", "--out-raster", "o.bsf"]),
+    "checkpoint-header-list": (
+        {"m.ckpt": _checkpoint([1, 2])},
+        ["infer", "--checkpoint", "m.ckpt", "--input", "r.bsf", "--out-raster", "o.bsf"]),
+    "samples-non-numeric": (
+        {"bad.csv": _SAMPLES_HEAD + "q0,abc,1,0.5,2,0.3\n"}, ["rf-cv", "--samples", "bad.csv"]),
+    "samples-short-row": (
+        {"bad.csv": _SAMPLES_HEAD + "q0,1,1\n"}, ["rf-cv", "--samples", "bad.csv"]),
+    "weights-empty": (
+        {"w.json": "{}"},
+        ["simulate", "--cube", "r.bsf", "--weights", "w.json", "--out-raster", "o.bsf"]),
+    "camera-json-empty": (
+        {"cam.json": "{}"},
+        ["fit-srf", "--srf", "srf.csv", "--camera", "cam.json", "--out-weights", "w.json"]),
+    "srf-non-numeric": (
+        {"bad.csv": "band,wavelength_nm,response\nB2,abc,0.5\n"},
+        ["fit-srf", "--srf", "bad.csv", "--out-weights", "w.json"]),
+    "quadrats-non-numeric": (
+        {"q.csv": "id,x_m,y_m,side_m,target\nq0,abc,1,0.5,2\n"},
+        ["rf-samples", "--raster", "r.bsf", "--quadrats", "q.csv", "--out-samples", "s.csv"]),
+    "shift-report-without-shift_px": (
+        {"reg.json": "{}"},
+        ["align", "--fine", "r.bsf", "--coarse", "r.bsf", "--target-pixel", "0.125",
+         "--apply-shift", "reg.json", "--out-raster", "o.bsf"]),
+    "camera-even-not-a-number": (
+        {}, ["fit-srf", "--srf", "srf.csv", "--camera", "even:abc", "--out-weights", "w.json"]),
+    "shift-one-number": (
+        {}, ["gen-synthetic", "--shift", "1", "--width", "16", "--height", "16",
+             "--scenes", "3", "--out-dir", "d"]),
+    "pipeline-stages-not-a-list": (
+        {"p.json": json.dumps({"version": 1, "stages": 5})}, ["pipeline", "--config", "p.json"]),
+    "pipeline-typo-key": (
+        {"p.json": _pipeline({"stage": "evaluate", "pred": "r.bsf", "truth": "r.bsf",
+                              "per_bnd": True})},
+        ["pipeline", "--config", "p.json"]),
+    "pipeline-missing-key": (
+        {"p.json": _pipeline({"stage": "evaluate", "pred": "r.bsf"})},
+        ["pipeline", "--config", "p.json"]),
+    "pipeline-train-without-arch": (
+        {"p.json": _pipeline({"stage": "train", "manifest": "m.json",
+                              "out_checkpoint": "m.ckpt"})},
+        ["pipeline", "--config", "p.json"]),
+    "pipeline-k-not-a-number": (
+        {"p.json": _pipeline({"stage": "rf-cv", "samples": "samples.csv", "k": "five"})},
+        ["pipeline", "--config", "p.json"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONTRACT_CASES))
+def test_malformed_input_exits_with_error(case, tmp_path, monkeypatch, capsys):
+    files, argv = CONTRACT_CASES[case]
+    write_bsf(random_raster(0, 8, 8, 2), tmp_path / "r.bsf")
+    synthetic_vnir_srf().to_csv(tmp_path / "srf.csv")
+    rng = np.random.default_rng(0)
+    save_samples_csv(tmp_path / "samples.csv", [Quadrat(f"q{i}", i, 1.0, 0.5) for i in range(12)],
+                     rng.uniform(size=12), rng.uniform(size=(12, 1)), ["B2"])
+    for name, content in files.items():
+        if isinstance(content, bytes):
+            (tmp_path / name).write_bytes(content)
+        else:
+            (tmp_path / name).write_text(content)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert any(line.startswith("error: ") for line in err.splitlines()), err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", sorted(STAGES))
+def test_stage_help_renders(name, capsys):
+    params = STAGES[name].params
+    options = [p.option for p in params if p.option]
+    assert len(options) == len(set(options)), "two parameters share a flag"
+    assert len({p.key for p in params}) == len(params), "a key is declared twice"
+    with pytest.raises(SystemExit) as exc:
+        main([name, "--help"])
+    assert exc.value.code == 0
+    assert f"usage: satfuse {name}" in capsys.readouterr().out

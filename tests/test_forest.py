@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from satfuse.errors import CoverageError, PartitionError, SchemaError, ValidationError
+from satfuse.errors import (CoverageError, FormatError, PartitionError, SchemaError,
+                            ValidationError)
 from satfuse.forest import (
     ForestConfig,
     ForestModel,
@@ -222,3 +223,9 @@ class TestSamplesCsv:
         back = ForestModel.from_json(p)
         q = np.random.default_rng(1).uniform(size=(20, 8))
         assert np.array_equal(predict(model, q), predict(back, q))
+
+    def test_model_json_without_trees_is_format_error(self, tmp_path):
+        p = tmp_path / "forest.json"
+        p.write_text("{}")
+        with pytest.raises(FormatError, match="trees"):
+            ForestModel.from_json(p)
