@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -213,7 +213,6 @@ class ForestModel:
     seed: int
     n_features: int
     target_range: tuple[float, float]
-    bootstrap_indices: list[np.ndarray] = field(default_factory=list)
 
     def to_json(self, path) -> None:
         doc = {
@@ -278,14 +277,16 @@ def fit_forest(X: np.ndarray, y: np.ndarray, cfg: ForestConfig | None = None, se
     cfg = cfg or ForestConfig()
 
     trees = []
-    boots = []
-    all_idx = np.arange(n)
     for t in range(cfg.n_trees):
-        rng = np.random.default_rng([seed, t])
-        idx = np.sort(rng.integers(0, n, size=n)) if cfg.bootstrap else all_idx
+        rng, idx = _tree_sample(seed, t, n, cfg.bootstrap)
         trees.append(_grow_tree(X, y, idx, rng, cfg))
-        boots.append(idx)
-    return ForestModel(trees, cfg, seed, X.shape[1], (float(y.min()), float(y.max())), boots)
+    return ForestModel(trees, cfg, seed, X.shape[1], (float(y.min()), float(y.max())))
+
+
+def _tree_sample(seed: int, t: int, n: int, bootstrap: bool):
+    """Tree `t`'s generator and its sorted training rows, drawn first from it."""
+    rng = np.random.default_rng([seed, t])
+    return rng, (np.sort(rng.integers(0, n, size=n)) if bootstrap else np.arange(n))
 
 
 def predict(model: ForestModel, features: np.ndarray) -> float | np.ndarray:
@@ -306,25 +307,31 @@ def predict(model: ForestModel, features: np.ndarray) -> float | np.ndarray:
 
 
 def oob_r2(model: ForestModel, X: np.ndarray, y: np.ndarray) -> float:
-    """Out-of-bag R^2 on the training data the model was fitted with."""
+    """Out-of-bag R^2 on the training data the model was fitted with.
+
+    Each tree's bootstrap draw is regenerated from the model seed exactly as
+    `fit_forest` drew it, so a model read back from JSON gives the same value.
+    """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
-    if not model.bootstrap_indices:
-        raise ValidationError("model carries no bootstrap bookkeeping")
-    acc = np.zeros(X.shape[0])
-    cnt = np.zeros(X.shape[0])
-    for tree, idx in zip(model.trees, model.bootstrap_indices):
-        oob = np.ones(X.shape[0], dtype=bool)
-        oob[idx] = False
+    if X.ndim != 2 or X.shape[1] != model.n_features:
+        raise SchemaError(f"features must be 2-D with {model.n_features} columns")
+    n = X.shape[0]
+    if y.shape[0] != n:
+        raise ValidationError(f"{y.shape[0]} targets for {n} rows")
+    acc = np.zeros(n)
+    cnt = np.zeros(n)
+    for t, tree in enumerate(model.trees):
+        oob = np.ones(n, dtype=bool)
+        oob[_tree_sample(model.seed, t, n, model.config.bootstrap)[1]] = False
         if not oob.any():
             continue
         acc[oob] += tree.predict(X[oob])
         cnt[oob] += 1
     covered = cnt > 0
-    pred = acc[covered] / cnt[covered]
-    resid = y[covered] - pred
-    tot = y[covered] - y[covered].mean()
-    return float(1.0 - (resid @ resid) / (tot @ tot))
+    if not covered.any():
+        raise ValidationError("no row is out of bag for any tree")
+    return _r2(y[covered], acc[covered] / cnt[covered])
 
 
 def _r2(y_true: np.ndarray, y_pred: np.ndarray) -> float:

@@ -382,6 +382,8 @@ def infer_tiled(
         raise ConfigError(
             f"overlap {overlap} smaller than receptive radius {model.arch.receptive_radius}"
         )
+    if tile <= 2 * overlap:
+        raise ConfigError(f"tile {tile} leaves no center region within overlap {overlap}")
     x = inputs.filled_values()
     _, H, W = x.shape
     c_out = model.arch.out_channels

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from .bsf import read_bsf, write_bsf
-from .errors import GeometryError, ValidationError
+from .errors import CorruptionError, GeometryError, ValidationError, parse_errors
 from .raster import (
     GeoGrid,
     Raster,
@@ -240,11 +240,29 @@ def make_fusion_dataset(cfg: SceneConfig, n_scenes: int, out_dir) -> dict:
 
 
 def load_manifest(path) -> dict:
+    """Read a dataset manifest; its directory is the base of the scene file names."""
     path = Path(path)
     with open(path) as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CorruptionError(f"{path}: manifest is not valid JSON: {exc}") from exc
+    with parse_errors(path):
+        if not isinstance(manifest, dict):
+            raise TypeError("manifest must be a JSON object")
+        for scene in manifest["scenes"]:
+            if not isinstance(scene["split"], str) or not isinstance(scene["files"], dict):
+                raise TypeError("each scene needs a 'split' string and a 'files' object")
     manifest["_dir"] = str(path.parent)
     return manifest
+
+
+# manifest file keys of each variant's input bands, stacked in this order
+_VARIANT_INPUTS = {
+    "stacked": ("coarse_upsampled", "rgb"),
+    "rgb": ("rgb",),
+    "coarse": ("coarse_upsampled",),
+}
 
 
 def assemble_pairs(manifest: dict, split: str, variant: str = "stacked"):
@@ -256,20 +274,18 @@ def assemble_pairs(manifest: dict, split: str, variant: str = "stacked"):
         "coarse"   upsampled coarse bands only (8 ch)
     Targets are always the fine 8-band truth.
     """
-    if variant not in ("stacked", "rgb", "coarse"):
+    if variant not in _VARIANT_INPUTS:
         raise ValidationError(f"unknown variant {variant!r}")
     base = Path(manifest.get("_dir", "."))
+    with parse_errors(f"manifest in {base}"):
+        chosen = [
+            (base / s["files"]["truth8"], [base / s["files"][k] for k in _VARIANT_INPUTS[variant]])
+            for s in manifest["scenes"]
+            if s["split"] == split
+        ]
     pairs = []
-    for scene in manifest["scenes"]:
-        if scene["split"] != split:
-            continue
-        files = scene["files"]
-        truth = read_bsf(base / files["truth8"])
-        if variant == "rgb":
-            inp = read_bsf(base / files["rgb"])
-        elif variant == "coarse":
-            inp = read_bsf(base / files["coarse_upsampled"])
-        else:
-            inp = stack_bands(read_bsf(base / files["coarse_upsampled"]), read_bsf(base / files["rgb"]))
-        pairs.append((inp, truth))
+    for truth_path, input_paths in chosen:
+        truth = read_bsf(truth_path)
+        inputs = [read_bsf(p) for p in input_paths]
+        pairs.append((stack_bands(*inputs) if len(inputs) > 1 else inputs[0], truth))
     return pairs

@@ -307,6 +307,11 @@ def _pipeline(*stages) -> str:
     return json.dumps({"version": 1, "stages": list(stages)})
 
 
+def _train_config(manifest) -> str:
+    return json.dumps({"version": 1, "preset": "spectral", "manifest": manifest,
+                       "out_checkpoint": "x.ckpt"})
+
+
 _SAMPLES_HEAD = "id,x_m,y_m,side_m,target,B2\n"
 
 # (files to write, argv); every case is malformed input that must end in exit 1
@@ -360,6 +365,14 @@ CONTRACT_CASES = {
     "pipeline-k-not-a-number": (
         {"p.json": _pipeline({"stage": "rf-cv", "samples": "samples.csv", "k": "five"})},
         ["pipeline", "--config", "p.json"]),
+    "manifest-without-scenes": (
+        {"m.json": "{}", "t.json": _train_config("m.json")}, ["train", "--config", "t.json"]),
+    "manifest-scene-without-files": (
+        {"m.json": json.dumps({"scenes": [{"id": "a", "split": "train"}]}),
+         "t.json": _train_config("m.json")},
+        ["train", "--config", "t.json"]),
+    "manifest-not-json": (
+        {"m.json": "{", "t.json": _train_config("m.json")}, ["train", "--config", "t.json"]),
 }
 
 

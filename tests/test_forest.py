@@ -101,6 +101,25 @@ class TestFitForest:
         model = fit_forest(X, y, ForestConfig(n_trees=500), seed=0)
         assert oob_r2(model, X, y) >= 0.8
 
+    def test_oob_r2_of_reloaded_model_is_identical(self, tmp_path):
+        X, y = linear_benchmark(n=60, seed=2)
+        model = fit_forest(X, y, ForestConfig(n_trees=30), seed=4)
+        model.to_json(tmp_path / "forest.json")
+        back = ForestModel.from_json(tmp_path / "forest.json")
+        assert oob_r2(back, X, y) == oob_r2(model, X, y)
+
+    def test_oob_r2_without_out_of_bag_rows(self):
+        X, y = linear_benchmark(n=30, seed=2)
+        model = fit_forest(X, y, ForestConfig(n_trees=3, bootstrap=False), seed=0)
+        with pytest.raises(ValidationError):
+            oob_r2(model, X, y)
+
+    def test_oob_r2_of_constant_targets_is_zero(self):
+        X, _ = linear_benchmark(n=30, seed=2)
+        y = np.full(30, 2.0)
+        model = fit_forest(X, y, ForestConfig(n_trees=10), seed=0)
+        assert oob_r2(model, X, y) == 0.0
+
     def test_deterministic_under_seed(self):
         X, y = linear_benchmark(n=80, seed=3)
         a = fit_forest(X, y, ForestConfig(n_trees=25), seed=9)

@@ -226,6 +226,12 @@ class TestInferTiled:
         with pytest.raises(ShapeError):
             infer_tiled(m, self._raster(0, 32, 32, 3))
 
+    @pytest.mark.parametrize("tile", [32, 20])
+    def test_tile_within_twice_overlap_rejected(self, tile):
+        m = build_model(ArchConfig(2, 2, ((3, 4), (3, 2))), seed=0)
+        with pytest.raises(ConfigError):
+            infer_tiled(m, self._raster(0, 64, 64, 2), tile=tile, overlap=16)
+
 
 class TestCheckpoints:
     def test_round_trip_forward_equivalent(self, tmp_path):
