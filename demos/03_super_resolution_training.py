@@ -20,7 +20,6 @@ manifest = make_fusion_dataset(cfg, 6, out)
 print(f"dataset: 6 scenes in {out}")
 for s in manifest["scenes"]:
     print(f"  {s['id']}: {s['split']}")
-manifest["_dir"] = str(out)
 
 train_pairs = assemble_pairs(manifest, "train", "stacked")
 val_pairs = assemble_pairs(manifest, "val", "stacked")

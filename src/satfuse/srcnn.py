@@ -15,9 +15,11 @@ serialized as little-endian float32.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, CorruptionError, FormatError, ShapeError, parse_errors
 from .raster import Raster
@@ -153,45 +155,82 @@ def build_model(arch: ArchConfig, seed: int = 0) -> SrcnnModel:
 
 
 # Activations flow through the network in (channels, batch, H, W) layout:
-# im2col then reduces to plain slab copies (cols[:, offset] = padded slice)
+# im2col then reduces to one copy of the padded tensor's windows
 # and one GEMM per layer, with the GEMM result already in the right layout.
+#
+# Training runs thousands of batches of one shape and inference runs tiles of
+# nearly one shape, so the arrays of a pass can come from a workspace: a plain
+# dict, owned by one `train` or `infer_tiled` call, that keeps one flat array
+# per key and hands out views of it.  Without a workspace each array is new.
 
 
-def _im2col(xp: np.ndarray, k: int, H: int, W: int) -> np.ndarray:
-    """Stack the k*k shifted views of a padded tensor.
+def _scratch(ws: dict | None, key, shape, dtype=np.float64) -> np.ndarray:
+    """An uninitialised array of `shape`.
 
-    xp: (C, B, H + k - 1, W + k - 1) -> (C, k*k, B, H, W), contiguous.
+    With a workspace it is a view of the array kept under `key`, which
+    grows to the largest shape asked for; the next request for `key`
+    returns the same memory.
     """
-    C, B = xp.shape[0], xp.shape[1]
-    cols = np.empty((C, k * k, B, H, W), dtype=np.float64)
-    for a in range(k):
-        for b in range(k):
-            cols[:, a * k + b] = xp[:, :, a : a + H, b : b + W]
-    return cols
+    if ws is None:
+        return np.empty(shape, dtype)
+    size = math.prod(shape)
+    buf = ws.get(key)
+    if buf is None or buf.size < size:
+        buf = ws[key] = np.empty(size, dtype)
+    return buf[:size].reshape(shape)
 
 
-def _conv2d(x: np.ndarray, w: np.ndarray, keep_cols: bool = False):
+def _pad_edge(x: np.ndarray, p: int, out: np.ndarray) -> np.ndarray:
+    """Replicate-edge padding of the last two axes by `p`, written into `out`."""
+    H, W = x.shape[-2], x.shape[-1]
+    out[..., p : p + H, p : p + W] = x
+    out[..., :p, p : p + W] = x[..., :1, :]
+    out[..., p + H :, p : p + W] = x[..., -1:, :]
+    out[..., :, :p] = out[..., :, p : p + 1]
+    out[..., :, p + W :] = out[..., :, p + W - 1 : p + W]
+    return out
+
+
+def _im2col(xp: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
+    """Stack the k*k shifted views of a padded tensor into `out`.
+
+    xp: (C, B, H + k - 1, W + k - 1) -> out (C, k*k, B, H, W), contiguous,
+    with out[:, a * k + b] = xp[:, :, a : a + H, b : b + W], copied in one call.
+    """
+    C, _, B, H, W = out.shape
+    windows = sliding_window_view(xp, (k, k), axis=(2, 3))  # (C, B, H, W, k, k)
+    np.copyto(out.reshape(C, k, k, B, H, W), windows.transpose(0, 4, 5, 1, 2, 3))
+    return out
+
+
+def _conv2d(x: np.ndarray, w: np.ndarray, keep_cols: bool = False, ws: dict | None = None,
+            key=None):
     """Same-size convolution with replicate-edge padding.
 
     x: (C_in, B, H, W), w: (C_out, C_in, k, k) -> (C_out, B, H, W).
     Large inputs are processed in row slabs to bound im2col memory; with
     `keep_cols` the column tensor is returned for gradient reuse (training
-    patches are small, so no slabbing happens on that path).
+    patches are small, so no slabbing happens on that path).  Arrays come
+    from the workspace `ws` under keys starting with `key`, except that
+    columns not kept share one array across layers; the result is one of
+    them.
     """
     c_in, B, H, W = x.shape
     c_out, _, k, _ = w.shape
     p = k // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)), mode="edge")
+    xp = _pad_edge(x, p, _scratch(ws, (key, "pad"), (c_in, B, H + 2 * p, W + 2 * p)))
     wmat = w.reshape(c_out, c_in * k * k)
+    out = _scratch(ws, (key, "z"), (c_out, B, H, W))
+    cols_key = (key, "cols") if keep_cols else "cols"
     if keep_cols or c_in * k * k * B * H * W <= _COL_BUDGET:
-        cols = _im2col(xp, k, H, W)
-        out = (wmat @ cols.reshape(c_in * k * k, B * H * W)).reshape(c_out, B, H, W)
+        cols = _im2col(xp, k, _scratch(ws, cols_key, (c_in, k * k, B, H, W)))
+        np.matmul(wmat, cols.reshape(c_in * k * k, B * H * W), out=out.reshape(c_out, B * H * W))
         return (out, cols) if keep_cols else (out, None)
-    out = np.empty((c_out, B, H, W), dtype=np.float64)
     rows_per = max(1, _COL_BUDGET // max(1, c_in * k * k * B * W))
     for r0 in range(0, H, rows_per):
         r1 = min(H, r0 + rows_per)
-        cols = _im2col(xp[:, :, r0 : r1 + 2 * p, :], k, r1 - r0, W)
+        cols = _im2col(xp[:, :, r0 : r1 + 2 * p, :], k,
+                       _scratch(ws, cols_key, (c_in, k * k, B, r1 - r0, W)))
         out[:, :, r0:r1, :] = (
             wmat @ cols.reshape(c_in * k * k, B * (r1 - r0) * W)
         ).reshape(c_out, B, r1 - r0, W)
@@ -199,26 +238,30 @@ def _conv2d(x: np.ndarray, w: np.ndarray, keep_cols: bool = False):
 
 
 def _fold_replicate_padding(g: np.ndarray, p: int) -> np.ndarray:
-    """Accumulate padded-image gradient onto the interior (replicate-pad adjoint)."""
+    """Accumulate padded-image gradient onto the interior (replicate-pad adjoint).
+
+    Works in place on `g` and returns a view of its interior.
+    """
     if p == 0:
-        return g.copy()
+        return g
     Hp, Wp = g.shape[-2], g.shape[-1]
-    g = g.copy()
     g[..., p, :] += g[..., :p, :].sum(axis=-2)
     g[..., Hp - p - 1, :] += g[..., Hp - p :, :].sum(axis=-2)
     g = g[..., p : Hp - p, :]
     g[..., :, p] += g[..., :, :p].sum(axis=-1)
     g[..., :, Wp - p - 1] += g[..., :, Wp - p :].sum(axis=-1)
-    return g[..., :, p : Wp - p].copy()
+    return g[..., :, p : Wp - p]
 
 
 def _conv2d_backward(
-    cols: np.ndarray, w: np.ndarray, gout: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+    cols: np.ndarray, w: np.ndarray, gout: np.ndarray, input_grad: bool = True,
+    ws: dict | None = None, key=None,
+) -> tuple[np.ndarray | None, np.ndarray]:
     """Gradients of :func:`_conv2d` given the forward column tensor.
 
     cols: (C_in, k*k, B, H, W), gout: (C_out, B, H, W).
-    Returns (grad_input (C_in, B, H, W), grad_weights).
+    Returns (grad_input (C_in, B, H, W), grad_weights); grad_input is None
+    unless `input_grad`, and otherwise a view into an array of `ws`.
     """
     c_out, B, H, W = gout.shape
     c_in, kk = cols.shape[0], cols.shape[1]
@@ -228,23 +271,26 @@ def _conv2d_backward(
     gmat = gout.reshape(c_out, N)
 
     gw = (gmat @ cols.reshape(c_in * kk, N).T).reshape(c_out, c_in, k, k)
+    if not input_grad:
+        return None, gw
 
     # scatter the column gradients back onto the padded image (col2im)
-    gcols = (w.reshape(c_out, -1).T @ gmat).reshape(c_in, kk, B, H, W)
-    gxp = np.zeros((c_in, B, H + 2 * p, W + 2 * p))
+    gcols = _scratch(ws, (key, "gcols"), (c_in, kk, B, H, W))
+    np.matmul(w.reshape(c_out, -1).T, gmat, out=gcols.reshape(c_in * kk, N))
+    gxp = _scratch(ws, (key, "gpad"), (c_in, B, H + 2 * p, W + 2 * p))
+    gxp.fill(0.0)
     for a in range(k):
         for b in range(k):
             gxp[:, :, a : a + H, b : b + W] += gcols[:, a * k + b]
-    gx = _fold_replicate_padding(gxp, p)
-    return gx, gw
+    return _fold_replicate_padding(gxp, p), gw
 
 
-def _leaky(z: np.ndarray, slope: float) -> np.ndarray:
-    return np.where(z > 0, z, slope * z)
-
-
-def _leaky_grad(z: np.ndarray, slope: float) -> np.ndarray:
-    return np.where(z > 0, 1.0, slope)
+def _leaky(z: np.ndarray, slope: float, out: np.ndarray, positive: np.ndarray) -> np.ndarray:
+    """LeakyReLU of `z` into `out`; records the mask z > 0 in `positive`."""
+    np.greater(z, 0, out=positive)
+    np.multiply(z, slope, out=out)
+    np.copyto(out, z, where=positive)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -265,31 +311,47 @@ def _check_input(model: SrcnnModel, x: np.ndarray):
         )
 
 
-def _forward_batch(model: SrcnnModel, x: np.ndarray, keep_cache: bool = False):
-    """x: (C_in, B, H, W) float64 -> (C_out, B, H, W) plus backward cache."""
+def _forward_batch(model: SrcnnModel, x: np.ndarray, keep_cache: bool = False,
+                   ws: dict | None = None):
+    """x: (C_in, B, H, W) float64 -> (C_out, B, H, W) plus backward cache.
+
+    With a workspace `ws` the output and the cache live in its arrays, valid
+    until the next pass that uses `ws`.
+    """
     _check_input(model, x)
     slope = model.arch.slope
     n_layers = len(model.weights)
     cache = [] if keep_cache else None
     a = x
     for li, w in enumerate(model.weights):
-        z, cols = _conv2d(a, w, keep_cols=keep_cache)
+        z, cols = _conv2d(a, w, keep_cols=keep_cache, ws=ws, key=li)
+        if li == n_layers - 1:
+            a, positive = z, None
+        else:
+            positive = _scratch(ws, (li, "positive"), z.shape, bool)
+            a = _leaky(z, slope, _scratch(ws, (li, "act"), z.shape), positive)
         if keep_cache:
-            cache.append((cols, z))
-        a = z if li == n_layers - 1 else _leaky(z, slope)
+            cache.append((cols, positive))
     return a, cache
 
 
-def _backward_batch(model: SrcnnModel, cache, gout: np.ndarray):
+def _backward_batch(model: SrcnnModel, cache, gout: np.ndarray, input_grad: bool = True,
+                    ws: dict | None = None):
+    """Weight gradients of every layer, and the input gradient if `input_grad`."""
     slope = model.arch.slope
     n_layers = len(model.weights)
     grads = [None] * n_layers
     g = gout
     for li in range(n_layers - 1, -1, -1):
-        cols, z = cache[li]
-        if li != n_layers - 1:
-            g = g * _leaky_grad(z, slope)
-        g, grads[li] = _conv2d_backward(cols, model.weights[li], g)
+        cols, positive = cache[li]
+        if positive is not None:
+            # chain rule through LeakyReLU: g * (1 where z > 0, else slope)
+            gz = np.multiply(g, slope, out=_scratch(ws, (li, "gact"), g.shape))
+            np.copyto(gz, g, where=positive)
+            g = gz
+        g, grads[li] = _conv2d_backward(
+            cols, model.weights[li], g, input_grad=input_grad or li > 0, ws=ws, key=li
+        )
     return grads, g
 
 
@@ -322,22 +384,25 @@ def backward(model: SrcnnModel, x: np.ndarray, grad_out: np.ndarray):
     return grads, gin[:, 0]
 
 
+def _masked_error(pred: np.ndarray, target: np.ndarray, mask: np.ndarray):
+    """Masked difference, its squared sum and the number of valid values.
+
+    pred, target: channels first, (C, H, W) or (C, B, H, W); `mask` is the
+    float validity of the trailing axes and broadcasts over the channels.
+    """
+    d = (pred - target) * mask
+    return d, float((d * d).sum()), float(mask.sum()) * pred.shape[0]
+
+
 def masked_mse(pred: np.ndarray, target: np.ndarray, mask: np.ndarray) -> float:
     """Mean squared error over valid pixels (mask broadcasts over channels)."""
-    m = mask.astype(np.float64)
-    n = m.sum() * pred.shape[-3]
-    if n == 0:
-        return 0.0
-    d = (pred - target) * m
-    return float((d * d).sum() / n)
+    _, sq, n = _masked_error(pred, target, mask.astype(np.float64))
+    return sq / n if n else 0.0
 
 
 def masked_mse_grad(pred: np.ndarray, target: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    m = mask.astype(np.float64)
-    n = m.sum() * pred.shape[-3]
-    if n == 0:
-        return np.zeros_like(pred)
-    return 2.0 * (pred - target) * m / n
+    d, _, n = _masked_error(pred, target, mask.astype(np.float64))
+    return 2.0 * d / n if n else np.zeros_like(pred)
 
 
 # ---------------------------------------------------------------------------
@@ -345,18 +410,23 @@ def masked_mse_grad(pred: np.ndarray, target: np.ndarray, mask: np.ndarray) -> n
 
 
 def _tile_spans(n: int, tile: int, overlap: int):
-    """(start, stop, write_start, write_stop) spans covering [0, n)."""
-    if n <= tile:
-        return [(0, n, 0, n)]
-    step = tile - 2 * overlap
-    starts = list(range(0, n - tile + 1, step))
-    if starts[-1] != n - tile:
-        starts.append(n - tile)
+    """(start, stop, write_start, write_stop) spans covering [0, n).
+
+    Uses the fewest tiles whose computed spans fit in `tile` while every
+    write edge inside the image keeps `overlap` pixels of context, and makes
+    those spans equal to within one pixel.  The writes partition [0, n).
+    """
+    # t tiles compute n + 2 * overlap * (t - 1) pixels in all
+    t = max(1, -(-(n - 2 * overlap) // (tile - 2 * overlap)))
+    total = n + 2 * overlap * (t - 1)
     spans = []
-    for s in starts:
-        w0 = 0 if s == 0 else s + overlap
-        w1 = n if s + tile == n else s + tile - overlap
-        spans.append((s, s + tile, w0, w1))
+    start = 0
+    for i in range(t):
+        stop = start + total * (i + 1) // t - total * i // t
+        w0 = 0 if i == 0 else start + overlap
+        w1 = n if i == t - 1 else stop - overlap
+        spans.append((start, stop, w0, w1))
+        start = stop - 2 * overlap
     return spans
 
 
@@ -369,10 +439,13 @@ def infer_tiled(
 ) -> Raster:
     """Run the network over a raster in overlapping tiles.
 
-    Tiles are 512x512 with a 16-pixel overlap; each tile contributes its
-    center region, so seams agree with a whole-image pass wherever the
-    overlap exceeds the receptive-field radius.  The input mask propagates
-    unchanged to the output.
+    Each axis is cut into the fewest tiles of at most `tile` pixels that
+    keep `overlap` pixels of context beyond every seam, with equal tile
+    sizes: a 640-pixel axis under the default 512-pixel tile takes two
+    336-pixel tiles, 1.05x the pixels written.  Each tile contributes the
+    region between its seams, so the result equals a whole-image pass
+    wherever the overlap is at least the receptive-field radius.  The input
+    mask propagates unchanged to the output.
     """
     if inputs.n_bands != model.arch.in_channels:
         raise ShapeError(
@@ -388,9 +461,10 @@ def infer_tiled(
     _, H, W = x.shape
     c_out = model.arch.out_channels
     out = np.empty((c_out, H, W), dtype=np.float64)
+    ws: dict = {}  # the tiles' arrays, freed on return
     for r0, r1, wr0, wr1 in _tile_spans(H, tile, overlap):
         for c0, c1, wc0, wc1 in _tile_spans(W, tile, overlap):
-            y, _ = _forward_batch(model, x[:, None, r0:r1, c0:c1])
+            y, _ = _forward_batch(model, x[:, None, r0:r1, c0:c1], ws=ws)
             out[:, wr0:wr1, wc0:wc1] = y[:, 0, wr0 - r0 : wr1 - r0, wc0 - c0 : wc1 - c0]
     if band_names is None:
         band_names = [f"band{i}" for i in range(c_out)]

@@ -236,6 +236,7 @@ def make_fusion_dataset(cfg: SceneConfig, n_scenes: int, out_dir) -> dict:
     manifest = {"seed": cfg.seed, "config": cfg_doc, "scenes": scenes}
     with open(out / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
+    manifest["_dir"] = str(out)  # as `load_manifest` sets it
     return manifest
 
 

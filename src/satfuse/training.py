@@ -9,15 +9,19 @@ generator and gradient reduction order is fixed.
 
 from __future__ import annotations
 
+import logging
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
 from .raster import Raster
-from .srcnn import ArchConfig, _backward_batch, _forward_batch, build_model
+from .srcnn import ArchConfig, _backward_batch, _forward_batch, _masked_error, build_model
 
 __all__ = ["TrainConfig", "train", "loss_log_to_csv"]
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -124,17 +128,16 @@ def _batch_arrays(data, entries, side):
     return xb, tb, mb[None, :, :, :]
 
 
-def _pooled_loss(model, data, pool, side, batch_size):
+def _pooled_loss(model, data, pool, side, batch_size, ws):
     """Masked-MSE over a whole patch pool (forward only)."""
     sq = 0.0
     n = 0.0
-    c_out = model.arch.out_channels
     for s in range(0, len(pool), batch_size):
         xb, tb, mb = _batch_arrays(data, pool[s : s + batch_size], side)
-        pred, _ = _forward_batch(model, xb)
-        d = (pred - tb) * mb
-        sq += float((d * d).sum())
-        n += float(mb.sum()) * c_out
+        pred, _ = _forward_batch(model, xb, ws=ws)
+        _, sq_batch, n_batch = _masked_error(pred, tb, mb)
+        sq += sq_batch
+        n += n_batch
     return sq / n if n else 0.0
 
 
@@ -176,7 +179,8 @@ def train(
 
     model = build_model(arch, cfg.seed)
     adam = _Adam([w.shape for w in model.weights], cfg)
-    c_out = arch.out_channels
+    # the batch passes' arrays, reused by every batch and freed on return
+    ws: dict = {}
 
     best_val = np.inf
     best_weights = model.copy_weights()
@@ -184,25 +188,30 @@ def train(
     loss_log: list[tuple[int, float, float]] = []
 
     for epoch in range(cfg.epochs):
+        t0 = time.perf_counter()
         order = rng.permutation(len(train_pool))
         sq = 0.0
         n = 0.0
         for s in range(0, len(order), cfg.batch_size):
             entries = [train_pool[i] for i in order[s : s + cfg.batch_size]]
             xb, tb, mb = _batch_arrays(data, entries, side)
-            pred, cache = _forward_batch(model, xb, keep_cache=True)
-            n_batch = float(mb.sum()) * c_out
-            d = (pred - tb) * mb
-            sq += float((d * d).sum())
+            pred, cache = _forward_batch(model, xb, keep_cache=True, ws=ws)
+            d, sq_batch, n_batch = _masked_error(pred, tb, mb)
+            sq += sq_batch
             n += n_batch
             if n_batch == 0:
                 continue
             grad_out = 2.0 * d / n_batch
-            grads, _ = _backward_batch(model, cache, grad_out)
+            grads, _ = _backward_batch(model, cache, grad_out, input_grad=False, ws=ws)
             adam.step(model.weights, grads)
         train_loss = sq / n if n else 0.0
-        val_loss = _pooled_loss(model, vdata, val_pool, side, cfg.batch_size)
+        val_loss = _pooled_loss(model, vdata, val_pool, side, cfg.batch_size, ws)
         loss_log.append((epoch, train_loss, val_loss))
+        wall = time.perf_counter() - t0
+        log.info(
+            "epoch=%d train_loss=%.6g val_loss=%.6g wall=%.2fs patches_per_s=%.1f",
+            epoch, train_loss, val_loss, wall, len(train_pool) / max(wall, 1e-9),
+        )
         if val_loss < best_val:
             best_val = val_loss
             best_weights = model.copy_weights()

@@ -222,9 +222,7 @@ def test_criterion_5_gradient_exactness():
 @pytest.fixture(scope="module")
 def harness_dataset(tmp_path_factory):
     out = tmp_path_factory.mktemp("harness")
-    manifest = make_fusion_dataset(SceneConfig(seed=20), 8, out)
-    manifest["_dir"] = str(out)
-    return manifest
+    return make_fusion_dataset(SceneConfig(seed=20), 8, out)
 
 
 def test_criterion_6_desk_scale_spectral_extension(harness_dataset):

@@ -13,6 +13,9 @@ from satfuse.srcnn import (
     load_checkpoint,
     masked_mse,
     masked_mse_grad,
+    _backward_batch,
+    _forward_batch,
+    _tile_spans,
     preset,
     save_checkpoint,
 )
@@ -157,6 +160,27 @@ class TestBackward:
         assert np.array_equal(g, np.zeros_like(pred))
         assert masked_mse(pred, pred.copy(), mask) == 0.0
 
+    def test_workspace_reuse_matches_fresh_arrays(self):
+        # batch passes through one workspace, with shapes repeating and
+        # changing, give the arrays a workspace-free pass gives
+        m = build_model(ArchConfig(3, 2, ((5, 6), (3, 4), (3, 2))), seed=4)
+        rng = np.random.default_rng(4)
+        ws = {}
+        for B, H in ((4, 9), (4, 9), (1, 9), (4, 11), (4, 9)):
+            x = rng.uniform(size=(3, B, H, H))
+            g = rng.standard_normal((2, B, H, H))
+            y_ref, cache_ref = _forward_batch(m, x, keep_cache=True)
+            grads_ref, gin_ref = _backward_batch(m, cache_ref, g)
+            y, cache = _forward_batch(m, x, keep_cache=True, ws=ws)
+            assert np.array_equal(y, y_ref)
+            grads, gin = _backward_batch(m, cache, g, input_grad=False, ws=ws)
+            assert gin is None
+            assert all(np.array_equal(a, b) for a, b in zip(grads, grads_ref))
+            y, cache = _forward_batch(m, x, keep_cache=True, ws=ws)
+            grads, gin = _backward_batch(m, cache, g, ws=ws)
+            assert np.array_equal(gin, gin_ref)
+            assert np.array_equal(_forward_batch(m, x, ws=ws)[0], y_ref)
+
     @pytest.mark.parametrize("trial", range(20))
     def test_gradient_matches_central_differences(self, trial):
         rng = np.random.default_rng(100 + trial)
@@ -214,6 +238,14 @@ class TestInferTiled:
         whole = forward(m, r.filled_values())
         assert np.max(np.abs(out.values.astype(np.float64) - whole)) < 1e-5
 
+    def test_three_tiles_per_axis_match_whole_forward(self):
+        m = build_model(ArchConfig(2, 2, ((5, 4), (3, 2))), seed=1)
+        r = self._raster(3, 110, 120, 2)
+        assert len(_tile_spans(110, 64, 16)) == len(_tile_spans(120, 64, 16)) == 3
+        out = infer_tiled(m, r, tile=64, overlap=16)
+        whole = forward(m, r.filled_values())
+        assert np.max(np.abs(out.values.astype(np.float64) - whole)) < 1e-5
+
     def test_fully_masked_propagates(self):
         m = build_model(ArchConfig(2, 2, ((3, 4), (3, 2))), seed=2)
         r = self._raster(2, 32, 32, 2)
@@ -231,6 +263,36 @@ class TestInferTiled:
         m = build_model(ArchConfig(2, 2, ((3, 4), (3, 2))), seed=0)
         with pytest.raises(ConfigError):
             infer_tiled(m, self._raster(0, 64, 64, 2), tile=tile, overlap=16)
+
+
+class TestTileSpans:
+    @pytest.mark.parametrize("tile,overlap", [(512, 16), (256, 16), (64, 16), (40, 8), (20, 8)])
+    def test_plan_invariants(self, tile, overlap):
+        for n in range(1, 1101):
+            spans = _tile_spans(n, tile, overlap)
+            # the writes partition [0, n)
+            assert spans[0][2] == 0 and spans[-1][3] == n
+            assert all(a[3] == b[2] for a, b in zip(spans, spans[1:]))
+            for start, stop, w0, w1 in spans:
+                assert 0 <= start <= w0 < w1 <= stop <= n
+                assert min(n, 2 * overlap + 1) <= stop - start <= tile
+                # seams inside the image keep `overlap` pixels of context
+                assert w0 == 0 or w0 - start >= overlap
+                assert w1 == n or stop - w1 >= overlap
+            # one tile fewer could not write all of [0, n)
+            t = len(spans) - 1
+            most = tile if t == 1 else 2 * (tile - overlap) + (t - 2) * (tile - 2 * overlap)
+            assert t == 0 or most < n
+
+    @pytest.mark.parametrize("n,tile", [(640, 512), (320, 256)])
+    def test_computes_at_most_1_25x_the_written_pixels(self, n, tile):
+        computed = sum(stop - start for start, stop, _, _ in _tile_spans(n, tile, 16))
+        assert (computed / n) ** 2 <= 1.25
+
+    def test_two_equal_tiles(self):
+        assert _tile_spans(320, 256, 16) == [(0, 176, 0, 160), (144, 320, 160, 320)]
+        assert _tile_spans(640, 512, 16) == [(0, 336, 0, 320), (304, 640, 320, 640)]
+        assert _tile_spans(256, 256, 16) == [(0, 256, 0, 256)]
 
 
 class TestCheckpoints:

@@ -165,8 +165,7 @@ class TestMakeFusionDataset:
         assert (tmp_path / "again" / f).read_bytes() == (out / f).read_bytes()
 
     def test_assemble_pairs_variants(self, dataset):
-        out, manifest = dataset
-        manifest = dict(manifest, _dir=str(out))
+        _, manifest = dataset
         stacked = assemble_pairs(manifest, "train", "stacked")
         assert len(stacked) == 2
         inp, tgt = stacked[0]
@@ -175,6 +174,18 @@ class TestMakeFusionDataset:
         assert rgb[0][0].n_bands == 3
         coarse = assemble_pairs(manifest, "val", "coarse")
         assert len(coarse) == 1 and coarse[0][0].n_bands == 8
+
+    def test_returned_manifest_finds_its_files_from_any_directory(self, dataset, tmp_path,
+                                                                  monkeypatch):
+        out, manifest = dataset
+        assert manifest["_dir"] == str(out)
+        monkeypatch.chdir(tmp_path)
+        pairs = assemble_pairs(manifest, "train", "stacked")
+        assert len(pairs) == 2
+        # the file on disk carries no directory, so the set can be moved
+        on_disk = json.loads((out / "manifest.json").read_text())
+        assert "_dir" not in on_disk
+        assert on_disk == {k: v for k, v in manifest.items() if k != "_dir"}
 
     def test_too_few_scenes(self, tmp_path):
         with pytest.raises(ValidationError):

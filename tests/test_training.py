@@ -1,6 +1,15 @@
+import json
+import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.ndimage import gaussian_filter
+
+import satfuse
 
 from satfuse.errors import ConfigError, DataError, ShapeError
 from satfuse.raster import Raster
@@ -113,6 +122,68 @@ class TestTrain:
         _, log_a = train(TINY, [(inp_a2, tgt_a)], cfg)
         _, log_b = train(TINY, [(inp_b, tgt_b)], cfg)
         assert np.allclose([r[1] for r in log_a], [r[1] for r in log_b], rtol=1e-12)
+
+
+# Trains preset "spectral" on a 3-scene dataset of 48x48 pixels: 9 training
+# and 9 validation patches in batches of 4, 4 and 1, so the short last batch
+# is exercised too.  Run in a child process with one BLAS thread, since
+# OpenBLAS orders its sums differently with more threads.
+_PINNED_RUN = """
+import hashlib, json, sys
+import numpy as np
+import satfuse as sf
+
+out = sys.argv[1]
+manifest = sf.make_fusion_dataset(sf.SceneConfig(seed=3, width=48, height=48, n_bands=8), 3, out)
+cfg = sf.TrainConfig(scale=8, patch_coarse=2, batch_size=4, learning_rate=1e-3, epochs=3, seed=5)
+model, log = sf.train(sf.preset("spectral"), sf.assemble_pairs(manifest, "train"), cfg,
+                      val_pairs=sf.assemble_pairs(manifest, "val"))
+sf.save_checkpoint(model, f"{out}/net.ckpt")
+weights = b"".join(np.ascontiguousarray(w, "<f8").tobytes() for w in model.weights)
+with open(f"{out}/net.ckpt", "rb") as fh:
+    ckpt = fh.read()
+print(json.dumps({
+    "loss_log": [[e, repr(tr), repr(va)] for e, tr, va in log],
+    "weights_sha256": hashlib.sha256(weights).hexdigest(),
+    "checkpoint_sha256": hashlib.sha256(ckpt).hexdigest(),
+}))
+"""
+
+
+def test_fixed_seed_training_output_is_pinned(tmp_path):
+    """Loss log, float64 weights and checkpoint bytes of one fixed-seed run.
+
+    The constants were recorded before the conv-net workspaces, so a change
+    to the training arithmetic shows here.  They hold for the OpenBLAS that
+    NumPy's x86-64 wheels bundle; another BLAS library needs them recorded
+    anew from the unchanged code.
+    """
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    src = str(Path(satfuse.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _PINNED_RUN, str(tmp_path)], env=env,
+                          capture_output=True, text=True, check=True)
+    got = json.loads(proc.stdout)
+    assert got["loss_log"] == [
+        [0, "0.45772003020093127", "0.052158025355846314"],
+        [1, "0.09243574909709996", "0.050958831033166084"],
+        [2, "0.056207388655425676", "0.023638834548227253"],
+    ]
+    assert got["weights_sha256"] == "5ff75bf9d4d59fd147a5ef164ecec9f233603e40acf6879e1f5754ffd70ba235"
+    assert got["checkpoint_sha256"] == "b12415fe7c100030ec072ae9b2eb0328126071d94452979c99dee00003fcfeb1"
+
+
+def test_one_log_event_per_epoch(caplog):
+    pairs = [smooth_pair(13), smooth_pair(14)]
+    cfg = TrainConfig(scale=8, patch_coarse=2, batch_size=8, learning_rate=1e-2, epochs=3, seed=0)
+    with caplog.at_level(logging.INFO, logger="satfuse.training"):
+        _, log = train(TINY, pairs, cfg)
+    records = [r for r in caplog.records if r.name == "satfuse.training"]
+    assert [r.levelno for r in records] == [logging.INFO] * 3
+    for (epoch, tr, va), rec in zip(log, records):
+        msg = rec.getMessage()
+        assert msg.startswith(f"epoch={epoch} train_loss={tr:.6g} val_loss={va:.6g} wall=")
+        assert "patches_per_s=" in msg
 
 
 class TestLossLogCsv:
