@@ -34,6 +34,9 @@ __all__ = [
     "SYNTHETIC_VNIR_BANDS",
 ]
 
+# float64 elements of one row slab of the cube in `simulate_bands` (16 MB)
+_SLAB_BUDGET = 2**21
+
 # Wavelength span of the modeled VNIR camera, nm.
 CAMERA_RANGE_NM = (397.9, 1002.9)
 
@@ -292,6 +295,8 @@ def simulate_bands(cube: Raster, weights: BandWeights) -> Raster:
     Every output band is the per-pixel weighted average of the cube's bands
     using the normalized weights.  The cube's band count and wavelengths must
     match the camera model the weights were fitted for (within 0.01 nm).
+    The sum runs over row slabs whose float64 copy stays within
+    `_SLAB_BUDGET` elements, so no whole-cube float64 copy is made.
     """
     K = weights.camera.n_bands
     if cube.n_bands != K:
@@ -301,10 +306,15 @@ def simulate_bands(cube: Raster, weights: BandWeights) -> Raster:
     if np.max(np.abs(cube.wavelengths - weights.camera.centers)) > 0.01:
         raise SchemaError("cube wavelengths do not match the camera band centers")
 
-    vals = np.tensordot(weights.weights, cube.values.astype(np.float64), axes=([1], [0]))
+    _, H, W = cube.values.shape
+    vals = np.empty((weights.weights.shape[0], H, W), dtype=np.float32)
+    rows_per = max(1, _SLAB_BUDGET // (K * W))
+    for r0 in range(0, H, rows_per):
+        slab = cube.values[:, r0 : r0 + rows_per].astype(np.float64)
+        vals[:, r0 : r0 + rows_per] = np.tensordot(weights.weights, slab, axes=([1], [0]))
     return Raster(
         cube.grid,
-        vals.astype(np.float32),
+        vals,
         list(weights.band_names),
         cube.mask.copy(),
         weights.effective_centers(),

@@ -2,9 +2,12 @@
 
 Adam on masked mean squared error.  Patches are sampled on coarse-pixel
 boundaries (positions are multiples of the fine/coarse scale factor) and
-patches whose pixels are all masked are rejected at sampling time.  Runs are
-bit-deterministic under a fixed seed: shuffling comes from one seeded
-generator and gradient reduction order is fixed.
+patches whose pixels are all masked are rejected at sampling time.  Shuffling
+comes from one seeded generator and the gradient reduction order is fixed, so
+a fixed seed gives bit-identical runs for one BLAS build and thread count.
+The GEMMs round differently when OpenBLAS splits them over another number of
+threads, so the same seed can end in other last bits of losses and weights on
+another machine; the pinned training test sets ``OPENBLAS_NUM_THREADS=1``.
 """
 
 from __future__ import annotations

@@ -371,6 +371,13 @@ CONTRACT_CASES = {
         {"m.json": json.dumps({"scenes": [{"id": "a", "split": "train"}]}),
          "t.json": _train_config("m.json")},
         ["train", "--config", "t.json"]),
+    "rf-cv-zero-trees": ({}, ["rf-cv", "--samples", "samples.csv", "--n-trees", "0", "--k", "3"]),
+    "rf-fit-zero-trees": (
+        {}, ["rf-fit", "--samples", "samples.csv", "--n-trees", "0", "--out-model", "f.json"]),
+    "pipeline-rf-fit-zero-min-leaf": (
+        {"p.json": _pipeline({"stage": "rf-fit", "samples": "samples.csv", "out": "f.json",
+                              "min_samples_leaf": 0})},
+        ["pipeline", "--config", "p.json"]),
     "manifest-not-json": (
         {"m.json": "{", "t.json": _train_config("m.json")}, ["train", "--config", "t.json"]),
 }

@@ -1,12 +1,17 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
-from satfuse.errors import (CoverageError, FormatError, PartitionError, SchemaError,
+from satfuse.errors import (ConfigError, CoverageError, FormatError, PartitionError, SchemaError,
                             ValidationError)
 from satfuse.forest import (
     ForestConfig,
     ForestModel,
     Quadrat,
+    _Tree,
+    _tree_sample,
     cross_validate,
     extract_quadrat_features,
     fit_forest,
@@ -135,6 +140,155 @@ class TestFitForest:
             fit_forest(np.zeros((1, 2)), np.zeros(1))
         with pytest.raises(ValidationError):
             fit_forest(np.full((5, 2), np.nan), np.zeros(5))
+        for bad in ({"n_trees": 0}, {"min_samples_leaf": 0}, {"max_features": 0},
+                    {"max_depth": -1}):
+            with pytest.raises(ConfigError):
+                ForestConfig(**bad)
+        ForestConfig(max_depth=0)  # a single-leaf tree is legal
+
+
+# Reference: the vectorized NumPy split search.  The list-based search in
+# satfuse.forest must grow the same trees from it byte for byte.
+
+
+def _oracle_best_split(X, y, idx, candidates, min_leaf):
+    t = y[idx]
+    n = idx.size
+    total_sum = t.sum()
+    total_sq = (t * t).sum()
+    best = None
+    for f in candidates:
+        v = X[idx, f]
+        order = np.argsort(v, kind="stable")
+        vs = v[order]
+        ts = t[order]
+        csum = np.cumsum(ts)
+        csq = np.cumsum(ts * ts)
+        i = np.arange(min_leaf, n - min_leaf + 1)
+        if i.size == 0:
+            continue
+        legal = vs[i - 1] < vs[i]
+        if not legal.any():
+            continue
+        i = i[legal]
+        left_sum = csum[i - 1]
+        left_sq = csq[i - 1]
+        sse_l = np.maximum(left_sq - left_sum * left_sum / i, 0.0)
+        nr = n - i
+        right_sum = total_sum - left_sum
+        sse_r = np.maximum((total_sq - left_sq) - right_sum * right_sum / nr, 0.0)
+        tot = sse_l + sse_r
+        k = int(np.argmin(tot))
+        thr = 0.5 * (vs[i[k] - 1] + vs[i[k]])
+        key = (float(tot[k]), int(f), float(thr))
+        if best is None or key < best:
+            best = key
+    return best
+
+
+def _oracle_grow_tree(X, y, sample_idx, rng, cfg):
+    p = X.shape[1]
+    mtry = cfg.max_features if cfg.max_features is not None else math.ceil(p / 3)
+    mtry = max(1, min(mtry, p))
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def new_node():
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(0.0)
+        return len(feature) - 1
+
+    stack = [(new_node(), sample_idx, 0)]
+    while stack:
+        node, idx, depth = stack.pop()
+        t = y[idx]
+        value[node] = float(t.mean())
+        if (
+            idx.size < 2 * cfg.min_samples_leaf
+            or (cfg.max_depth is not None and depth >= cfg.max_depth)
+            or t.min() == t.max()
+        ):
+            continue
+        candidates = np.sort(rng.choice(p, size=mtry, replace=False))
+        split = _oracle_best_split(X, y, idx, candidates, cfg.min_samples_leaf)
+        if split is None:
+            continue
+        _, f, thr = split
+        go_left = X[idx, f] <= thr
+        feature[node] = f
+        threshold[node] = thr
+        l_id, r_id = new_node(), new_node()
+        left[node] = l_id
+        right[node] = r_id
+        stack.append((r_id, idx[~go_left], depth + 1))
+        stack.append((l_id, idx[go_left], depth + 1))
+    return _Tree(
+        np.array(feature, dtype=np.int64),
+        np.array(threshold),
+        np.array(left, dtype=np.int64),
+        np.array(right, dtype=np.int64),
+        np.array(value),
+    )
+
+
+def tie_heavy(n=70, p=5, seed=0, decimals=1):
+    """Features and targets rounded so that many values tie."""
+    rng = np.random.default_rng(seed)
+    X = np.round(rng.uniform(0, 1, size=(n, p)), decimals)
+    y = np.round(2.0 * X[:, 0] - X[:, 2] + 0.3 * rng.standard_normal(n), decimals)
+    return X, y
+
+
+class TestSplitSearchOracle:
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("cfg", [
+        ForestConfig(n_trees=6, min_samples_leaf=1),
+        ForestConfig(n_trees=6, min_samples_leaf=2),
+        ForestConfig(n_trees=6, min_samples_leaf=3),
+        ForestConfig(n_trees=6, max_depth=4, bootstrap=False),
+        ForestConfig(n_trees=6, max_features=1),
+        ForestConfig(n_trees=6, max_features=5),
+        ForestConfig(n_trees=6, max_features=5, min_samples_leaf=2, bootstrap=False),
+    ], ids=["leaf1", "leaf2", "leaf3", "depth4-nobootstrap", "mtry1", "mtry-p",
+            "mtry-p-leaf2-nobootstrap"])
+    def test_trees_match_numpy_oracle_bytes(self, cfg, seed):
+        X, y = tie_heavy(seed=seed, decimals=1 + seed)
+        model = fit_forest(X, y, cfg, seed=seed + 3)
+        for t, tree in enumerate(model.trees):
+            rng, idx = _tree_sample(seed + 3, t, X.shape[0], cfg.bootstrap)
+            ref = _oracle_grow_tree(X, y, idx, rng, cfg)
+            for name in ("feature", "threshold", "left", "right", "value"):
+                assert getattr(tree, name).tobytes() == getattr(ref, name).tobytes(), (t, name)
+
+    def test_constant_target_matches_oracle(self):
+        X, _ = tie_heavy(n=30)
+        y = np.full(30, 0.7)
+        cfg = ForestConfig(n_trees=3)
+        model = fit_forest(X, y, cfg, seed=1)
+        for t, tree in enumerate(model.trees):
+            rng, idx = _tree_sample(1, t, 30, cfg.bootstrap)
+            ref = _oracle_grow_tree(X, y, idx, rng, cfg)
+            assert tree.value.tobytes() == ref.value.tobytes()
+            assert tree.feature.tolist() == ref.feature.tolist() == [-1]
+
+    def test_pinned_json_and_cross_validation(self, tmp_path):
+        # recorded with the NumPy split search that the oracle above keeps
+        X, y = tie_heavy(n=80, p=6, seed=21)
+        model = fit_forest(X, y, ForestConfig(n_trees=25, min_samples_leaf=2), seed=7)
+        model.to_json(tmp_path / "forest.json")
+        digest = hashlib.sha256((tmp_path / "forest.json").read_bytes()).hexdigest()
+        assert digest == "319034b7694b111a1cc53a27cbe6f22ad8bcf6385da5ad280bfb27f4ceefa175"
+        report = cross_validate(X, y, k=4, cfg=ForestConfig(n_trees=15), seed=5)
+        assert repr(report) == (
+            "{'k': 4, 'seed': 5, 'folds': ["
+            "{'fold': 0, 'n': 20, 'r2': 0.20779994458298734, 'rmse': 0.43658141661474015}, "
+            "{'fold': 1, 'n': 20, 'r2': 0.5506169373403789, 'rmse': 0.4899940160884305}, "
+            "{'fold': 2, 'n': 20, 'r2': 0.5336112611083528, 'rmse': 0.5978923888476716}, "
+            "{'fold': 3, 'n': 20, 'r2': 0.6795392155381275, 'rmse': 0.28025869883306914}], "
+            "'pooled': {'r2': 0.5510107020400788, 'rmse': 0.4654883768821147, 'n': 80}}"
+        )
 
 
 class TestPredict:

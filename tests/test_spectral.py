@@ -5,6 +5,7 @@ import pytest
 
 from satfuse.errors import DomainError, SchemaError, ValidationError
 from satfuse.nnls import kkt_residuals
+from satfuse import spectral
 from satfuse.raster import Raster
 from satfuse.spectral import (
     BandWeights,
@@ -190,6 +191,17 @@ class TestSimulateBands:
                         np.dot(bw.weights[b], cube.values[:, i, j].astype(np.float64))
                     )
                     assert out.values[b, i, j] == pytest.approx(expected, abs=1e-6)
+
+    def test_row_slabs_match_whole_cube_bytes(self, monkeypatch):
+        cam = default_camera()
+        bw = fit_band_weights(synthetic_vnir_srf(), cam)
+        cube = _micro_cube(4, cam, w=9, h=10)
+        # three rows per slab: four slabs, the last one short
+        monkeypatch.setattr(spectral, "_SLAB_BUDGET", 3 * cam.n_bands * 9)
+        out = simulate_bands(cube, bw)
+        whole = np.tensordot(bw.weights, cube.values.astype(np.float64), axes=([1], [0]))
+        assert out.values.dtype == np.float32
+        assert out.values.tobytes() == whole.astype(np.float32).tobytes()
 
     def test_linearity(self):
         cam = evenly_spaced_camera(24)
