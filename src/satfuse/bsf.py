@@ -1,13 +1,14 @@
-"""Band-Stack Format (BSF) reader/writer.
+"""Band-Stack Format (BSF) reader/writer, and the framing it shares with
+checkpoints.
 
-Layout, in order:
+A framed file is: a magic (``BSF1`` for BSF, empty for checkpoints), an
+unsigned 32-bit little-endian header length N, N bytes of compact UTF-8 JSON
+with sorted keys, then the data blocks.  A BSF header has the keys ``width``,
+``height``, ``bands`` (array of ``{"name": ..., "wavelength_nm": ...}``,
+wavelength optional), ``dtype`` (must be ``"f32"``), ``geotransform``
+(``[origin_x, pixel_w, 0, origin_y, 0, -pixel_h]``) and ``nodata_mask``; its
+data blocks are:
 
-* magic ``BSF1`` (4 bytes)
-* unsigned 32-bit little-endian header length N
-* N bytes of UTF-8 JSON with keys ``width``, ``height``, ``bands`` (array of
-  ``{"name": ..., "wavelength_nm": ...}``, wavelength optional), ``dtype``
-  (must be ``"f32"``), ``geotransform``
-  (``[origin_x, pixel_w, 0, origin_y, 0, -pixel_h]``) and ``nodata_mask``
 * if ``nodata_mask`` is true: ceil(width*height/8) bytes of row-major bitmask,
   1 = valid, most-significant bit first within each byte
 * bands*width*height little-endian IEEE-754 float32 values, band-planar,
@@ -24,12 +25,47 @@ import math
 
 import numpy as np
 
-from .errors import CorruptionError, FormatError, ValidationError
+from .errors import CorruptionError, FormatError, ValidationError, parse_errors
 from .raster import GeoGrid, Raster
 
 MAGIC = b"BSF1"
 
 __all__ = ["read_bsf", "write_bsf", "MAGIC"]
+
+
+def write_framed(path, magic: bytes, header: dict, *blocks: bytes) -> None:
+    """Write `magic`, the u32le header length, the JSON `header`, then `blocks`."""
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(magic)
+        fh.write(np.uint32(len(blob)).tobytes())
+        fh.write(blob)
+        for block in blocks:
+            fh.write(block)
+
+
+def read_framed(path, magic: bytes) -> tuple[dict, bytes, int]:
+    """Read a framed file: (header, the whole file's bytes, offset of the first
+    data block).  Framing faults raise FormatError with their byte offset."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    start = len(magic) + 4
+    if len(data) < start:
+        raise FormatError(f"{path}: file shorter than magic + header length", offset=0)
+    if data[: len(magic)] != magic:
+        raise FormatError(f"{path}: bad magic {data[:len(magic)]!r}, expected {magic!r}",
+                          offset=0)
+    body = start + int.from_bytes(data[len(magic) : start], "little")
+    if body > len(data):
+        raise FormatError(f"{path}: declared header length exceeds file size",
+                          offset=len(magic))
+    try:
+        header = json.loads(data[start:body].decode("utf-8"))
+    except (RecursionError, ValueError) as exc:
+        raise FormatError(f"{path}: header is not valid UTF-8 JSON: {exc}", offset=start) from exc
+    if not isinstance(header, dict):
+        raise FormatError(f"{path}: header is not a JSON object", offset=start)
+    return header, data, body
 
 
 def write_bsf(r: Raster, path) -> None:
@@ -52,59 +88,33 @@ def write_bsf(r: Raster, path) -> None:
         "geotransform": [g.origin_x, g.pixel_w, 0.0, g.origin_y, 0.0, -g.pixel_h],
         "nodata_mask": write_mask,
     }
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(np.uint32(len(blob)).tobytes())
-        fh.write(blob)
-        if write_mask:
-            fh.write(np.packbits(r.mask.ravel()).tobytes())
-        fh.write(np.ascontiguousarray(r.values, dtype="<f4").tobytes())
-
-
-def _header_field(header: dict, key: str, offset: int):
-    if key not in header:
-        raise FormatError(f"header missing key {key!r}", offset=offset)
-    return header[key]
+    mask = [np.packbits(r.mask.ravel()).tobytes()] if write_mask else []
+    write_framed(path, MAGIC, header, *mask, np.ascontiguousarray(r.values, dtype="<f4").tobytes())
 
 
 def read_bsf(path) -> Raster:
     """Read a Band-Stack Format file back into a :class:`Raster`."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    header, data, pos = read_framed(path, MAGIC)
+    with parse_errors(path):
+        width, height, bands = header["width"], header["height"], header["bands"]
+        has_mask = header["nodata_mask"]
+        if not isinstance(has_mask, bool):
+            raise FormatError(f"{path}: nodata_mask must be true or false", offset=8)
+        if header["dtype"] != "f32":
+            raise FormatError(f"{path}: unsupported dtype {header['dtype']!r}", offset=8)
+        if not isinstance(bands, list) or not bands:
+            raise FormatError(f"{path}: bands must be a non-empty array", offset=8)
+        if not all(type(n) is int and n > 0 for n in (width, height)):
+            raise FormatError(f"{path}: width/height must be positive integers", offset=8)
+        ox, pw, rot_x, oy, rot_y, ph = (float(v) for v in header["geotransform"])
+        if rot_x != 0 or rot_y != 0:
+            raise FormatError(f"{path}: rotated geotransforms are not supported", offset=8)
+        names = [str(entry["name"]) for entry in bands]
+        wavelengths = np.array([float(entry.get("wavelength_nm", math.nan)) for entry in bands])
+        if not any("wavelength_nm" in entry for entry in bands):
+            wavelengths = None
+        grid = GeoGrid(ox, oy, pw, -ph, width, height)
 
-    if len(data) < 8:
-        raise FormatError("file shorter than magic + header length", offset=0)
-    if data[:4] != MAGIC:
-        raise FormatError(f"bad magic {data[:4]!r}, expected {MAGIC!r}", offset=0)
-    header_len = int(np.frombuffer(data[4:8], dtype="<u4")[0])
-    if 8 + header_len > len(data):
-        raise FormatError("declared header length exceeds file size", offset=4)
-    try:
-        header = json.loads(data[8 : 8 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"header is not valid UTF-8 JSON: {exc}", offset=8) from exc
-    if not isinstance(header, dict):
-        raise FormatError("header is not a JSON object", offset=8)
-
-    width = _header_field(header, "width", 8)
-    height = _header_field(header, "height", 8)
-    bands = _header_field(header, "bands", 8)
-    dtype = _header_field(header, "dtype", 8)
-    gt = _header_field(header, "geotransform", 8)
-    has_mask = _header_field(header, "nodata_mask", 8)
-    if dtype != "f32":
-        raise FormatError(f"unsupported dtype {dtype!r}", offset=8)
-    if not isinstance(bands, list) or not bands:
-        raise FormatError("bands must be a non-empty array", offset=8)
-    if not (isinstance(width, int) and isinstance(height, int)) or width < 1 or height < 1:
-        raise FormatError("width/height must be positive integers", offset=8)
-    if not isinstance(gt, list) or len(gt) != 6:
-        raise FormatError("geotransform must have 6 entries", offset=8)
-    if gt[2] != 0 or gt[4] != 0:
-        raise FormatError("rotated geotransforms are not supported", offset=8)
-
-    pos = 8 + header_len
     n_px = width * height
     mask = None
     if has_mask:
@@ -113,7 +123,7 @@ def read_bsf(path) -> Raster:
             raise CorruptionError(
                 f"mask truncated: need {n_mask} bytes at offset {pos}, file has {len(data) - pos}"
             )
-        bits = np.unpackbits(np.frombuffer(data[pos : pos + n_mask], dtype=np.uint8))
+        bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8, count=n_mask, offset=pos))
         mask = bits[:n_px].astype(bool).reshape(height, width)
         pos += n_mask
 
@@ -124,29 +134,5 @@ def read_bsf(path) -> Raster:
             f"payload length mismatch: expected {n_payload} bytes for "
             f"{nb} band(s) of {width}x{height}, found {len(data) - pos}"
         )
-    values = (
-        np.frombuffer(data[pos : pos + n_payload], dtype="<f4")
-        .reshape(nb, height, width)
-        .copy()
-    )
-
-    names = []
-    wavelengths = np.full(nb, np.nan)
-    any_wl = False
-    for i, entry in enumerate(bands):
-        if not isinstance(entry, dict) or "name" not in entry:
-            raise FormatError(f"band entry {i} missing name", offset=8)
-        names.append(str(entry["name"]))
-        if "wavelength_nm" in entry:
-            wavelengths[i] = float(entry["wavelength_nm"])
-            any_wl = True
-
-    grid = GeoGrid(
-        origin_x=float(gt[0]),
-        origin_y=float(gt[3]),
-        pixel_w=float(gt[1]),
-        pixel_h=float(-gt[5]),
-        width=width,
-        height=height,
-    )
-    return Raster(grid, values, names, mask, wavelengths if any_wl else None)
+    values = np.frombuffer(data, dtype="<f4", offset=pos).reshape(nb, height, width).copy()
+    return Raster(grid, values, names, mask, wavelengths)

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import alignment, forest, metrics, spectral, srcnn, synthetic, training
 from .bsf import read_bsf, write_bsf
-from .errors import SatfuseError, ValidationError, csv_value_error, parse_errors
+from .errors import SatfuseError, ValidationError, csv_value_error, finite, parse_errors
 from .raster import stack_bands, translate_pixels
 
 log = logging.getLogger("satfuse")
@@ -44,11 +44,8 @@ CONFIG_VERSION = 1
 
 def _load_config(path: Path) -> dict:
     """Read a version-checked JSON config; its other keys are stage parameters."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
+    with open(path) as fh, parse_errors(path):
+        doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: config must be a JSON object")
     if doc.pop("version", None) != CONFIG_VERSION:
@@ -199,16 +196,16 @@ def run_rf_samples(args: dict, base: Path) -> dict:
     """
     raster = read_bsf(args["raster"])
     quadrats, targets = [], []
-    with open(args["quadrats"], newline="") as fh:
+    with open(args["quadrats"], newline="") as fh, parse_errors(args["quadrats"]):
         reader = csv.DictReader(fh)
         required = {"id", "x_m", "y_m", "side_m", "target"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise ValidationError(f"quadrat CSV must have columns {sorted(required)}")
         for row in reader:
             try:
-                quadrats.append(forest.Quadrat(row["id"], float(row["x_m"]),
-                                               float(row["y_m"]), float(row["side_m"])))
-                targets.append(float(row["target"]))
+                quadrats.append(forest.Quadrat(row["id"], finite(row["x_m"]),
+                                               finite(row["y_m"]), finite(row["side_m"])))
+                targets.append(finite(row["target"]))
             except (TypeError, ValueError):
                 raise csv_value_error(args["quadrats"], reader.line_num, row,
                                       ("x_m", "y_m", "side_m", "target")) from None
@@ -254,13 +251,8 @@ def run_pipeline(args: dict, base: Path) -> dict:
             raise ValidationError(f"pipeline stage {i}: unknown stage {name!r}")
         given = {k: v for k, v in raw.items() if k != "stage"}
         plan.append((name, _stage_args(STAGES[name], given, f"pipeline stage {i} ({name})", base)))
-    results = []
-    for name, stage_args in plan:
-        t0 = time.time()
-        result = STAGES[name].handler(stage_args, base)
-        log.info("stage=%s wall=%.2fs", name, time.time() - t0)
-        results.append({"stage": name, "result": result})
-    return {"stages": results}
+    return {"stages": [{"stage": name, "result": _run_stage(name, stage_args, base)}
+                       for name, stage_args in plan]}
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +388,14 @@ STAGES: dict[str, Stage] = {
 }
 
 
+def _run_stage(name: str, args: dict, base: Path) -> dict:
+    """Run one stage's handler on checked arguments and log its wall time."""
+    t0 = time.perf_counter()
+    result = STAGES[name].handler(args, base)
+    log.info("stage=%s wall=%.2fs", name, time.perf_counter() - t0)
+    return result
+
+
 def _stage_args(stage: Stage, given: dict, where: str, base: Path) -> dict:
     """Check `given` against the stage's parameters; return all of them, converted."""
     unknown = set(given) - {p.key for p in stage.params}
@@ -411,7 +411,7 @@ def _stage_args(stage: Stage, given: dict, where: str, base: Path) -> dict:
             continue
         try:
             args[p.key] = p.type(given[p.key])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ValidationError(f"{where}: bad value for {p.key!r}: {exc}") from exc
         if p.type is Path:
             args[p.key] = _resolve(base, args[p.key])
@@ -460,10 +460,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             given = {p.key: getattr(ns, p.key) for p in stage.params if hasattr(ns, p.key)}
             where, base = ns.command, Path.cwd()
-        args = _stage_args(stage, given, where, base)
-        t0 = time.time()
-        result = stage.handler(args, base)
-        log.info("stage=%s wall=%.2fs", ns.command, time.time() - t0)
+        result = _run_stage(ns.command, _stage_args(stage, given, where, base), base)
         _emit(result, Path(ns.result_out) if ns.result_out else None)
         return 0
     except SatfuseError as exc:

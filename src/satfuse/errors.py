@@ -1,6 +1,7 @@
 """Exception hierarchy shared by all satfuse modules, plus the helpers file
 readers use to turn a parse failure into one of these errors."""
 
+import math
 from contextlib import contextmanager
 
 
@@ -85,19 +86,27 @@ def parse_errors(source):
         yield
     except KeyError as exc:
         raise FormatError(f"{source}: missing field {exc}") from exc
-    except (IndexError, TypeError, ValueError) as exc:
+    except (IndexError, OverflowError, RecursionError, TypeError, ValueError) as exc:
         raise FormatError(f"{source}: {type(exc).__name__}: {exc}") from exc
 
 
+def finite(value) -> float:
+    """`float(value)`, refusing NaN and the infinities with a ValueError."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{value!r} is not a finite number")
+    return number
+
+
 def csv_value_error(source, line, row: dict, columns) -> FormatError:
-    """The error for a CSV row in which some of `columns` are missing or not numbers."""
+    """The error for a CSV row in which some of `columns` are missing or not finite numbers."""
 
     def parses(value):
         try:
-            float(value)
+            finite(value)
             return True
         except (TypeError, ValueError):
             return False
 
     bad = {col: row.get(col) for col in columns if not parses(row.get(col))}
-    return FormatError(f"{source}, line {line}: missing or not a number: {bad}")
+    return FormatError(f"{source}, line {line}: missing or not a finite number: {bad}")

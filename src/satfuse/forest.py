@@ -26,12 +26,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import (ConfigError, CoverageError, FormatError, PartitionError, SchemaError,
-                     ValidationError, csv_value_error, parse_errors)
+                     ValidationError, csv_value_error, finite, parse_errors)
 from .raster import Raster
 
 __all__ = [
@@ -60,8 +60,10 @@ class Quadrat:
     side: float = 0.5
 
     def __post_init__(self):
-        if not self.side > 0:
-            raise ValidationError(f"quadrat {self.id!r}: side must be positive")
+        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+            raise ValidationError(f"quadrat {self.id!r}: coordinates must be finite")
+        if not 0 < self.side < math.inf:
+            raise ValidationError(f"quadrat {self.id!r}: side must be positive and finite")
 
 
 def extract_quadrat_features(r: Raster, quadrats: list[Quadrat]) -> np.ndarray:
@@ -250,13 +252,7 @@ class ForestModel:
             "seed": self.seed,
             "n_features": self.n_features,
             "target_range": list(self.target_range),
-            "config": {
-                "n_trees": self.config.n_trees,
-                "max_features": self.config.max_features,
-                "min_samples_leaf": self.config.min_samples_leaf,
-                "max_depth": self.config.max_depth,
-                "bootstrap": self.config.bootstrap,
-            },
+            "config": asdict(self.config),
             "trees": [
                 {
                     "feature": t.feature.tolist(),
@@ -437,7 +433,7 @@ def save_samples_csv(path, quadrats, targets, features, band_names) -> None:
 
 def load_samples_csv(path):
     """Returns (quadrats, targets, features, band_names)."""
-    with open(path, newline="") as fh:
+    with open(path, newline="") as fh, parse_errors(path):
         reader = csv.reader(fh)
         header = next(reader, None)
         fixed = ["id", "x_m", "y_m", "side_m", "target"]
@@ -453,9 +449,9 @@ def load_samples_csv(path):
                 raise FormatError(f"{path}, line {reader.line_num}: "
                                   f"expected {len(header)} fields, found {len(row)}")
             try:
-                quadrats.append(Quadrat(row[0], float(row[1]), float(row[2]), float(row[3])))
-                targets.append(float(row[4]))
-                rows.append([float(v) for v in row[5:]])
+                quadrats.append(Quadrat(row[0], finite(row[1]), finite(row[2]), finite(row[3])))
+                targets.append(finite(row[4]))
+                rows.append([finite(v) for v in row[5:]])
             except ValueError:
                 raise csv_value_error(path, reader.line_num, dict(zip(header, row)),
                                       header[1:]) from None

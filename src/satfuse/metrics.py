@@ -7,7 +7,7 @@ comparison reports the 240 dB cap with a flag instead of infinity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -39,17 +39,7 @@ class MetricsReport:
     per_band: dict[str, dict[str, float]] | None = None
 
     def to_dict(self) -> dict:
-        doc = {
-            "rmse": self.rmse,
-            "mae": self.mae,
-            "psnr": self.psnr,
-            "psnr_capped": self.psnr_capped,
-            "n_valid": self.n_valid,
-            "n_bands": self.n_bands,
-        }
-        if self.per_band is not None:
-            doc["per_band"] = self.per_band
-        return doc
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 def evaluate(pred: Raster, truth: Raster, per_band: bool = False) -> MetricsReport:

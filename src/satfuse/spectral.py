@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SchemaError, ValidationError, csv_value_error, parse_errors
+from .errors import (DomainError, SchemaError, ValidationError, csv_value_error, finite,
+                     parse_errors)
 from .nnls import nnls
 from .raster import Raster
 
@@ -81,7 +82,7 @@ class SpectralResponseTable:
                 raise ValidationError(f"band {name!r} wavelengths must be strictly increasing")
             if resp.shape != wl.shape:
                 raise ValidationError(f"band {name!r} response length mismatch")
-            if resp.min() < 0 or resp.max() > 1 + 1e-12:
+            if not (resp.min() >= 0 and resp.max() <= 1 + 1e-12):
                 raise ValidationError(f"band {name!r} responses must lie in [0, 1]")
             clean[name] = (wl, resp)
         self.bands = clean
@@ -103,7 +104,7 @@ class SpectralResponseTable:
     @classmethod
     def from_csv(cls, path) -> "SpectralResponseTable":
         rows: dict[str, list[tuple[float, float]]] = {}
-        with open(path, newline="") as fh:
+        with open(path, newline="") as fh, parse_errors(path):
             reader = csv.DictReader(fh)
             required = {"band", "wavelength_nm", "response"}
             if reader.fieldnames is None or not required.issubset(reader.fieldnames):
@@ -112,7 +113,7 @@ class SpectralResponseTable:
                 )
             for row in reader:
                 try:
-                    sample = (float(row["wavelength_nm"]), float(row["response"]))
+                    sample = (finite(row["wavelength_nm"]), finite(row["response"]))
                 except (TypeError, ValueError):
                     raise csv_value_error(path, reader.line_num, row,
                                           ("wavelength_nm", "response")) from None
@@ -137,10 +138,10 @@ class HyperBandSpec:
         object.__setattr__(self, "centers", np.asarray(self.centers, dtype=np.float64))
         if self.centers.ndim != 1 or self.centers.size < 1:
             raise ValidationError("centers must be a 1-D array")
-        if not np.all(np.diff(self.centers) > 0):
-            raise ValidationError("band centers must be strictly increasing")
-        if not self.fwhm > 0:
-            raise ValidationError("fwhm must be positive")
+        if not (np.all(np.diff(self.centers) > 0) and np.isfinite(self.centers).all()):
+            raise ValidationError("band centers must be finite and strictly increasing")
+        if not 0 < self.fwhm < math.inf:
+            raise ValidationError("fwhm must be positive and finite")
 
     @property
     def n_bands(self) -> int:
@@ -160,8 +161,7 @@ class HyperBandSpec:
 
 def default_camera() -> HyperBandSpec:
     """The 269-band VNIR camera: centers 397.9 + k*(605/268) nm, FWHM 6 nm."""
-    k = np.arange(269, dtype=np.float64)
-    return HyperBandSpec(CAMERA_RANGE_NM[0] + k * (605.0 / 268.0), 6.0)
+    return evenly_spaced_camera(269)
 
 
 def evenly_spaced_camera(n_bands: int, fwhm: float | None = None) -> HyperBandSpec:
@@ -218,6 +218,9 @@ class BandWeights:
         self.normalizations = np.asarray(self.normalizations, dtype=np.float64)
         if self.weights.shape != (len(self.band_names), self.camera.n_bands):
             raise ValidationError("weights shape must be (n_bands, K)")
+        if not all(np.isfinite(a).all() for a in (self.weights, self.residuals,
+                                                  self.normalizations)):
+            raise ValidationError("weights, residuals and normalizations must be finite")
         if (self.weights < 0).any():
             raise ValidationError("weights must be nonnegative")
         if not (self.weights.max(axis=1) > 0).all():
@@ -252,7 +255,7 @@ class BandWeights:
             weights = np.array([b["weights"] for b in doc["bands"]], dtype=np.float64)
             residuals = np.array([b["residual"] for b in doc["bands"]])
             norms = np.array([b["normalization"] for b in doc["bands"]])
-        return cls(camera, names, weights, residuals, norms)
+            return cls(camera, names, weights, residuals, norms)
 
 
 def fit_band_weights(

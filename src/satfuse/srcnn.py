@@ -14,14 +14,14 @@ serialized as little-endian float32.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, CorruptionError, FormatError, ShapeError, parse_errors
+from .bsf import read_framed, write_framed
+from .errors import ConfigError, CorruptionError, ShapeError, parse_errors
 from .raster import Raster
 
 __all__ = [
@@ -59,6 +59,8 @@ class ArchConfig:
             raise ConfigError("need at least 2 conv layers")
         if self.in_channels < 1 or self.out_channels < 1:
             raise ConfigError("channel counts must be positive")
+        if not math.isfinite(self.slope):
+            raise ConfigError(f"slope must be finite, got {self.slope}")
         for k, f in self.layers:
             if k < 1 or k % 2 == 0:
                 raise ConfigError(f"kernel size {k} must be odd and positive")
@@ -84,15 +86,6 @@ class ArchConfig:
     def parameter_count(self) -> int:
         chain = self.channel_chain
         return sum(k * k * chain[i] * chain[i + 1] for i, (k, _) in enumerate(self.layers))
-
-    def to_dict(self) -> dict:
-        return {
-            "in_channels": self.in_channels,
-            "out_channels": self.out_channels,
-            "layers": [list(l) for l in self.layers],
-            "slope": self.slope,
-            "name": self.name,
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "ArchConfig":
@@ -472,8 +465,9 @@ def infer_tiled(
 
 
 # ---------------------------------------------------------------------------
-# checkpoints: u32le header length + JSON header + raw little-endian float32
-# parameter block (layer order, C-contiguous)
+# checkpoints: the BSF framing (see :mod:`satfuse.bsf`) with no magic; the one
+# data block is the raw little-endian float32 parameters (layer order,
+# C-contiguous)
 
 
 def save_checkpoint(model: SrcnnModel, path) -> None:
@@ -481,44 +475,28 @@ def save_checkpoint(model: SrcnnModel, path) -> None:
         np.ascontiguousarray(w, dtype="<f4").tobytes() for w in model.weights
     )
     header = {
-        "arch": model.arch.to_dict(),
+        "arch": asdict(model.arch),
         "seed": model.seed,
         "train_meta": model.train_meta,
         "payload_bytes": len(payload),
     }
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(np.uint32(len(blob)).tobytes())
-        fh.write(blob)
-        fh.write(payload)
+    write_framed(path, b"", header, payload)
 
 
 def load_checkpoint(path) -> SrcnnModel:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < 4:
-        raise CorruptionError("checkpoint shorter than its header length field")
-    hlen = int(np.frombuffer(data[:4], dtype="<u4")[0])
-    if 4 + hlen > len(data):
-        raise CorruptionError("declared header length exceeds file size")
-    try:
-        header = json.loads(data[4 : 4 + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CorruptionError(f"checkpoint header is not valid JSON: {exc}") from exc
-    if not isinstance(header, dict):
-        raise FormatError(f"{path}: checkpoint header must be a JSON object")
+    header, data, body = read_framed(path, b"")
     with parse_errors(f"{path}: checkpoint header"):
         arch = ArchConfig.from_dict(header["arch"])
         seed = int(header.get("seed", 0))
         train_meta = dict(header.get("train_meta", {}))
-    payload = data[4 + hlen :]
+    n_payload = len(data) - body
     expected = arch.parameter_count() * 4
-    if header.get("payload_bytes") != len(payload) or len(payload) != expected:
+    if header.get("payload_bytes") != n_payload or n_payload != expected:
         raise CorruptionError(
             f"parameter block length mismatch: header says {header.get('payload_bytes')}, "
-            f"architecture needs {expected}, file holds {len(payload)}"
+            f"architecture needs {expected}, file holds {n_payload}"
         )
-    flat = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+    flat = np.frombuffer(data, dtype="<f4", offset=body).astype(np.float64)
     weights = []
     pos = 0
     chain = arch.channel_chain
@@ -527,7 +505,5 @@ def load_checkpoint(path) -> SrcnnModel:
         n = int(np.prod(shape))
         weights.append(flat[pos : pos + n].reshape(shape).copy())
         pos += n
-    model = SrcnnModel(arch, weights, seed)
-    model.train_meta = train_meta
-    return model
+    return SrcnnModel(arch, weights, seed, train_meta)
 

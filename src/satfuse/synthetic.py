@@ -17,7 +17,7 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from .bsf import read_bsf, write_bsf
-from .errors import CorruptionError, GeometryError, ValidationError, parse_errors
+from .errors import GeometryError, ValidationError, parse_errors
 from .raster import (
     GeoGrid,
     Raster,
@@ -243,12 +243,8 @@ def make_fusion_dataset(cfg: SceneConfig, n_scenes: int, out_dir) -> dict:
 def load_manifest(path) -> dict:
     """Read a dataset manifest; its directory is the base of the scene file names."""
     path = Path(path)
-    with open(path) as fh:
-        try:
-            manifest = json.load(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CorruptionError(f"{path}: manifest is not valid JSON: {exc}") from exc
-    with parse_errors(path):
+    with open(path) as fh, parse_errors(path):
+        manifest = json.load(fh)
         if not isinstance(manifest, dict):
             raise TypeError("manifest must be a JSON object")
         for scene in manifest["scenes"]:

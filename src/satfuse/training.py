@@ -13,6 +13,7 @@ another machine; the pinned training test sets ``OPENBLAS_NUM_THREADS=1``.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass
 
@@ -53,6 +54,10 @@ class TrainConfig:
             raise ConfigError("validation_fraction must lie strictly between 0 and 1")
         if self.batch_size < 1 or self.epochs < 1:
             raise ConfigError("batch_size and epochs must be positive")
+        if not (0 < self.learning_rate < math.inf and 0 < self.eps < math.inf
+                and 0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
+            raise ConfigError("learning_rate and eps must be positive and finite, "
+                              "beta1 and beta2 in [0, 1)")
 
     @property
     def patch_side(self) -> int:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,22 @@ class TestRoundTrip:
         header = json.loads(data[8 : 8 + hlen])
         assert len(header["bands"]) == 3
         assert len(data) - 8 - hlen == 3 * 7 * 5 * 4
+
+
+def test_pinned_file_bytes(tmp_path):
+    """sha256 of a mask-free and a masked file, recorded before the framing
+    was shared with checkpoints; the format's bytes must not move."""
+    plain = random_raster(11, 7, 5, 3, wavelengths=np.array([490.0, np.nan, 842.5]))
+    masked = random_raster(12, 9, 4, 2, mask_fraction=0.3, band_names=["B4", "B8"])
+    digests = []
+    for name, r in (("plain.bsf", plain), ("masked.bsf", masked)):
+        write_bsf(r, tmp_path / name)
+        digests.append(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest())
+        assert_rasters_identical(r, read_bsf(tmp_path / name))
+    assert digests == [
+        "4967389324a64f97d329dd7c7aa1d69cc4ec0a84e1d0f9ae99ad42cb0aea9560",
+        "24b73f7cfaa31f6fa00c07289e5ef469714565efc9205820887f535bb8fcc456",
+    ]
 
 
 class TestErrors:

@@ -312,7 +312,18 @@ def _train_config(manifest) -> str:
                        "out_checkpoint": "x.ckpt"})
 
 
+def _bsf(**changes) -> bytes:
+    """An 8x8 two-band BSF file whose header has `changes` applied."""
+    header = {"width": 8, "height": 8, "bands": [{"name": "b0"}, {"name": "b1"}],
+              "dtype": "f32", "geotransform": [0.0, 0.125, 0.0, 1.0, 0.0, -0.125],
+              "nodata_mask": False, **changes}
+    data = json.dumps(header).encode()
+    return b"BSF1" + struct.pack("<I", len(data)) + data + bytes(2 * 8 * 8 * 4)
+
+
 _SAMPLES_HEAD = "id,x_m,y_m,side_m,target,B2\n"
+_EVALUATE_G = ["evaluate", "--pred", "g.bsf", "--truth", "r.bsf"]
+_RF_SAMPLES_Q = ["rf-samples", "--raster", "r.bsf", "--quadrats", "q.csv", "--out-samples", "s.csv"]
 
 # (files to write, argv); every case is malformed input that must end in exit 1
 # with an "error:" line, never a traceback.  `r.bsf`, `srf.csv` and
@@ -338,8 +349,7 @@ CONTRACT_CASES = {
         {"bad.csv": "band,wavelength_nm,response\nB2,abc,0.5\n"},
         ["fit-srf", "--srf", "bad.csv", "--out-weights", "w.json"]),
     "quadrats-non-numeric": (
-        {"q.csv": "id,x_m,y_m,side_m,target\nq0,abc,1,0.5,2\n"},
-        ["rf-samples", "--raster", "r.bsf", "--quadrats", "q.csv", "--out-samples", "s.csv"]),
+        {"q.csv": "id,x_m,y_m,side_m,target\nq0,abc,1,0.5,2\n"}, _RF_SAMPLES_Q),
     "shift-report-without-shift_px": (
         {"reg.json": "{}"},
         ["align", "--fine", "r.bsf", "--coarse", "r.bsf", "--target-pixel", "0.125",
@@ -380,6 +390,22 @@ CONTRACT_CASES = {
         ["pipeline", "--config", "p.json"]),
     "manifest-not-json": (
         {"m.json": "{", "t.json": _train_config("m.json")}, ["train", "--config", "t.json"]),
+    "bsf-geotransform-string": (
+        {"g.bsf": _bsf(geotransform=["a", 0.125, 0.0, 1.0, 0.0, -0.125])}, _EVALUATE_G),
+    "bsf-geotransform-null": (
+        {"g.bsf": _bsf(geotransform=[0.0, None, 0.0, 1.0, 0.0, -0.125])}, _EVALUATE_G),
+    "bsf-wavelength-not-a-number": (
+        {"g.bsf": _bsf(bands=[{"name": "b0", "wavelength_nm": "abc"}, {"name": "b1"}])},
+        _EVALUATE_G),
+    "train-config-not-utf8": (
+        {"t.json": b"\xff\xfe" + _train_config("m.json").encode()}, ["train", "--config", "t.json"]),
+    "pipeline-config-not-utf8": (
+        {"p.json": b"\xff\xfe" + _pipeline().encode()}, ["pipeline", "--config", "p.json"]),
+    "bsf-header-nested-too-deep": (
+        {"g.bsf": b"BSF1" + struct.pack("<I", 10**5) + b"[" * 10**5}, _EVALUATE_G),
+    "train-config-nested-too-deep": ({"t.json": b"[" * 10**5}, ["train", "--config", "t.json"]),
+    "quadrats-nan": ({"q.csv": "id,x_m,y_m,side_m,target\nq0,nan,0.5,0.25,2\n"}, _RF_SAMPLES_Q),
+    "quadrats-inf": ({"q.csv": "id,x_m,y_m,side_m,target\nq0,inf,0.5,0.25,2\n"}, _RF_SAMPLES_Q),
 }
 
 

@@ -74,6 +74,15 @@ class TestQuadratFeatures:
         with pytest.raises(CoverageError):
             extract_quadrat_features(r, [Quadrat("far", 100.0, 100.0, 0.5)])
 
+    @pytest.mark.parametrize("x, y, side", [
+        (float("nan"), 1.0, 0.5), (1.0, float("nan"), 0.5), (float("inf"), 1.0, 0.5),
+        (1.0, float("-inf"), 0.5), (1.0, 1.0, 0.0), (1.0, 1.0, float("nan")),
+        (1.0, 1.0, float("inf")),
+    ])
+    def test_quadrat_validation(self, x, y, side):
+        with pytest.raises(ValidationError):
+            Quadrat("q", x, y, side)
+
 
 def linear_benchmark(n=200, p=8, noise=0.05, seed=0):
     rng = np.random.default_rng(seed)

@@ -124,3 +124,19 @@ class TestEvaluate:
         b.mask[:] = False
         with pytest.raises(CoverageError):
             evaluate(a, b)
+
+
+def test_pinned_report_dicts():
+    """`to_dict` with and without the per-band breakdown, recorded from the
+    hand-written dict it replaced."""
+    pred = random_raster(13, 6, 6, 2, mask_fraction=0.2)
+    truth = random_raster(14, 6, 6, 2, mask_fraction=0.2)
+    assert repr(evaluate(pred, truth).to_dict()) == (
+        "{'rmse': 0.4031111900480663, 'mae': 0.33085928523602587, 'psnr': 7.891502920160262, "
+        "'psnr_capped': False, 'n_valid': 24, 'n_bands': 2}")
+    assert repr(evaluate(pred, truth, per_band=True).to_dict()) == (
+        "{'rmse': 0.4031111900480663, 'mae': 0.33085928523602587, 'psnr': 7.891502920160262, "
+        "'psnr_capped': False, 'n_valid': 24, 'n_bands': 2, 'per_band': {'b0': {'rmse': "
+        "0.4276673220283895, 'mae': 0.365048421236376, 'psnr': np.float64(7.377878656539489), "
+        "'psnr_capped': False}, 'b1': {'rmse': 0.376958783891558, 'mae': 0.29667014923567575, "
+        "'psnr': np.float64(8.47412264612297), 'psnr_capped': False}}}")

@@ -33,6 +33,13 @@ class TestCameraModel:
         assert np.allclose(np.diff(cam.centers), 605.0 / 268.0)
         assert cam.fwhm == 6.0
 
+    def test_default_camera_is_the_even_269_band_layout(self):
+        cam = default_camera()
+        even = evenly_spaced_camera(269)
+        assert np.array_equal(cam.centers, 397.9 + np.arange(269.0) * (605.0 / 268.0))
+        assert np.array_equal(cam.centers, even.centers)
+        assert cam.fwhm == even.fwhm == 6.0
+
     def test_invariants(self):
         with pytest.raises(ValidationError):
             HyperBandSpec(np.array([500.0, 499.0]), 6.0)
