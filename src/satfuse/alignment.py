@@ -25,6 +25,10 @@ __all__ = ["ShiftEstimate", "ScoreResult", "snap_to_grid", "score_shift", "regis
 
 MIN_COVER_CELLS = 16
 _EPS = 1e-9
+# `register`'s search, in fine pixels: the lattice stride, then the radius
+# of the stride-1 search around the lattice optimum
+_LATTICE_STRIDE = 8
+_REFINE_RADIUS = 8
 
 
 @dataclass
@@ -267,12 +271,7 @@ def _search(ctx: _ScoreContext, candidates, seen, score_grid):
     return best
 
 
-def register(
-    fine: Raster,
-    coarse: Raster,
-    coarse_stride: int = 8,
-    refine_radius: int = 8,
-) -> ShiftEstimate:
+def register(fine: Raster, coarse: Raster) -> ShiftEstimate:
     """Find the fine-image translation best matching the coarse raster.
 
     Coarse-to-fine search: a stride-8 lattice over +-1 coarse pixel in each
@@ -287,8 +286,8 @@ def register(
 
     lattice = [
         (dx, dy)
-        for dy in range(-sy, sy + 1, coarse_stride)
-        for dx in range(-sx, sx + 1, coarse_stride)
+        for dy in range(-sy, sy + 1, _LATTICE_STRIDE)
+        for dx in range(-sx, sx + 1, _LATTICE_STRIDE)
     ]
     best = _search(ctx, lattice, seen, score_grid)
     if best is None:
@@ -297,8 +296,8 @@ def register(
     bx, by = best[1]
     refine = [
         (dx, dy)
-        for dy in range(max(-sy, by - refine_radius), min(sy, by + refine_radius) + 1)
-        for dx in range(max(-sx, bx - refine_radius), min(sx, bx + refine_radius) + 1)
+        for dy in range(max(-sy, by - _REFINE_RADIUS), min(sy, by + _REFINE_RADIUS) + 1)
+        for dx in range(max(-sx, bx - _REFINE_RADIUS), min(sx, bx + _REFINE_RADIUS) + 1)
     ]
     refined = _search(ctx, refine, seen, score_grid)
     if refined is not None and refined[0] < best[0]:

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import alignment, forest, metrics, spectral, srcnn, synthetic, training
 from .bsf import read_bsf, write_bsf
-from .errors import SatfuseError, ValidationError, csv_value_error, finite, parse_errors
+from .errors import SatfuseError, ValidationError, finite, integer, parse_errors
 from .raster import stack_bands, translate_pixels
 
 log = logging.getLogger("satfuse")
@@ -108,7 +108,7 @@ def run_align(args: dict, base: Path) -> dict:
     snapped = alignment.snap_to_grid(fine, coarse.grid, args["target_pixel"])
     if args["apply_shift"]:
         with open(args["apply_shift"]) as fh, parse_errors(args["apply_shift"]):
-            dx, dy = (int(v) for v in json.load(fh)["shift_px"])
+            dx, dy = (integer(v) for v in json.load(fh)["shift_px"])
         snapped = translate_pixels(snapped, dx, dy)
     write_bsf(snapped, args["out"])
     return {"out": str(args["out"]),
@@ -189,26 +189,10 @@ def run_evaluate(args: dict, base: Path) -> dict:
 
 
 def run_rf_samples(args: dict, base: Path) -> dict:
-    """Extract quadrat band means from a raster into a samples CSV.
-
-    The quadrat definitions CSV carries ``id,x_m,y_m,side_m,target`` (field
-    measurements); band columns are appended from the raster.
-    """
+    """Extract quadrat band means from a raster into a samples CSV: the quadrat
+    CSV's field measurements plus one band column per raster band."""
     raster = read_bsf(args["raster"])
-    quadrats, targets = [], []
-    with open(args["quadrats"], newline="") as fh, parse_errors(args["quadrats"]):
-        reader = csv.DictReader(fh)
-        required = {"id", "x_m", "y_m", "side_m", "target"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ValidationError(f"quadrat CSV must have columns {sorted(required)}")
-        for row in reader:
-            try:
-                quadrats.append(forest.Quadrat(row["id"], finite(row["x_m"]),
-                                               finite(row["y_m"]), finite(row["side_m"])))
-                targets.append(finite(row["target"]))
-            except (TypeError, ValueError):
-                raise csv_value_error(args["quadrats"], reader.line_num, row,
-                                      ("x_m", "y_m", "side_m", "target")) from None
+    quadrats, targets, _, _ = forest.load_quadrats_csv(args["quadrats"])
     feats = forest.extract_quadrat_features(raster, quadrats)
     forest.save_samples_csv(args["out"], quadrats, targets, feats, raster.band_names)
     return {"out": str(args["out"]), "n_samples": len(quadrats), "bands": raster.band_names}
@@ -301,7 +285,7 @@ def _names(v) -> list[str]:
 
 def _shift(v) -> tuple[int, int]:
     dx, dy = v.split(",") if isinstance(v, str) else v
-    return int(dx), int(dy)
+    return integer(dx), integer(dy)
 
 
 def _pairs(v) -> list[tuple[str, str]]:
@@ -322,7 +306,7 @@ STAGES: dict[str, Stage] = {
         Param("cube"), Param("weights"), Param("out", flag="--out-raster"),
     )),
     "align": Stage(run_align, "snap a fine raster onto the coarse sensor grid", (
-        Param("fine"), Param("coarse"), Param("target_pixel", float),
+        Param("fine"), Param("coarse"), Param("target_pixel", finite),
         Param("apply_shift", Path, None, help="JSON report from `register`"),
         Param("out", flag="--out-raster"),
     )),
@@ -335,12 +319,16 @@ STAGES: dict[str, Stage] = {
         Param("manifest", Path, None), Param("variant", str, "stacked"),
         Param("train_split", str, "train"), Param("val_split", str, "val"),
         Param("out_checkpoint"), Param("out_loss_log", Path, None),
-        Param("scale", int, _TRAIN.scale), Param("patch_coarse", int, _TRAIN.patch_coarse),
-        Param("patch_stride_coarse", int, None), Param("batch_size", int, _TRAIN.batch_size),
-        Param("learning_rate", float, _TRAIN.learning_rate), Param("epochs", int, _TRAIN.epochs),
-        Param("beta1", float, _TRAIN.beta1), Param("beta2", float, _TRAIN.beta2),
-        Param("eps", float, _TRAIN.eps), Param("seed", int, _TRAIN.seed), Param("split", str, None),
-        Param("validation_fraction", float, _TRAIN.validation_fraction),
+        Param("scale", integer, _TRAIN.scale),
+        Param("patch_coarse", integer, _TRAIN.patch_coarse),
+        Param("patch_stride_coarse", integer, None),
+        Param("batch_size", integer, _TRAIN.batch_size),
+        Param("learning_rate", finite, _TRAIN.learning_rate),
+        Param("epochs", integer, _TRAIN.epochs),
+        Param("beta1", finite, _TRAIN.beta1), Param("beta2", finite, _TRAIN.beta2),
+        Param("eps", finite, _TRAIN.eps), Param("seed", integer, _TRAIN.seed),
+        Param("split", str, None),
+        Param("validation_fraction", finite, _TRAIN.validation_fraction),
     ), config_file=True),
     "infer": Stage(run_infer, "run a checkpoint over band-stack inputs", (
         Param("checkpoint"),
@@ -356,31 +344,31 @@ STAGES: dict[str, Stage] = {
         Param("out", Path, None, False),
     )),
     "rf-samples": Stage(run_rf_samples, "extract quadrat band means into a samples CSV", (
-        Param("raster"), Param("quadrats", help="CSV with id,x_m,y_m,side_m,target"),
+        Param("raster"), Param("quadrats", help="CSV with " + ",".join(forest.QUADRAT_COLUMNS)),
         Param("out", flag="--out-samples"),
     )),
     "rf-fit": Stage(run_rf_fit, "fit a random forest from a samples CSV", (
-        Param("samples"), Param("n_trees", int, _FOREST.n_trees), Param("seed", int, 0),
+        Param("samples"), Param("n_trees", integer, _FOREST.n_trees), Param("seed", integer, 0),
         Param("out", flag="--out-model"),
-        Param("min_samples_leaf", int, _FOREST.min_samples_leaf, False),
+        Param("min_samples_leaf", integer, _FOREST.min_samples_leaf, False),
         Param("bootstrap", _bool, _FOREST.bootstrap, False),
     )),
     "rf-cv": Stage(run_rf_cv, "k-fold cross-validation of the forest", (
-        Param("samples"), Param("k", int, 5), Param("n_trees", int, _FOREST.n_trees),
-        Param("seed", int, 0), Param("out", Path, None, False),
+        Param("samples"), Param("k", integer, 5), Param("n_trees", integer, _FOREST.n_trees),
+        Param("seed", integer, 0), Param("out", Path, None, False),
     )),
     "gen-synthetic": Stage(run_gen_synthetic, "generate a synthetic fusion dataset", (
-        Param("seed", int, _SCENE.seed), Param("scenes", int, 8),
-        Param("width", int, _SCENE.width), Param("height", int, _SCENE.height),
-        Param("scale", int, _SCENE.scale), Param("n_bands", int, _SCENE.n_bands, "--bands"),
-        Param("n_endmembers", int, _SCENE.n_endmembers, "--endmembers"),
-        Param("smoothness", float, _SCENE.smoothness),
-        Param("noise_sigma", float, _SCENE.noise_sigma, "--noise"),
+        Param("seed", integer, _SCENE.seed), Param("scenes", integer, 8),
+        Param("width", integer, _SCENE.width), Param("height", integer, _SCENE.height),
+        Param("scale", integer, _SCENE.scale), Param("n_bands", integer, _SCENE.n_bands, "--bands"),
+        Param("n_endmembers", integer, _SCENE.n_endmembers, "--endmembers"),
+        Param("smoothness", finite, _SCENE.smoothness),
+        Param("noise_sigma", finite, _SCENE.noise_sigma, "--noise"),
         Param("shift", _shift, _SCENE.shift, help="injected shift as 'dx,dy' fine pixels"),
         Param("out", flag="--out-dir"),
-        Param("gain", float, _SCENE.gain, False), Param("offset", float, _SCENE.offset, False),
-        Param("pixel_m", float, _SCENE.pixel_m, False), Param("fwhm", float, None, False),
-        Param("endmember_seed", int, None, False),
+        Param("gain", finite, _SCENE.gain, False), Param("offset", finite, _SCENE.offset, False),
+        Param("pixel_m", finite, _SCENE.pixel_m, False), Param("fwhm", finite, None, False),
+        Param("endmember_seed", integer, None, False),
     )),
     "pipeline": Stage(run_pipeline, "run an ordered stage list from one config", (
         Param("stages", list),

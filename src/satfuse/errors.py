@@ -1,6 +1,7 @@
 """Exception hierarchy shared by all satfuse modules, plus the helpers file
 readers use to turn a parse failure into one of these errors."""
 
+import csv
 import math
 from contextlib import contextmanager
 
@@ -91,22 +92,43 @@ def parse_errors(source):
 
 
 def finite(value) -> float:
-    """`float(value)`, refusing NaN and the infinities with a ValueError."""
+    """`float(value)`, refusing booleans, NaN and the infinities with a ValueError."""
     number = float(value)
-    if not math.isfinite(number):
+    if isinstance(value, bool) or not math.isfinite(number):
         raise ValueError(f"{value!r} is not a finite number")
     return number
 
 
-def csv_value_error(source, line, row: dict, columns) -> FormatError:
-    """The error for a CSV row in which some of `columns` are missing or not finite numbers."""
+def integer(value) -> int:
+    """`int(value)`, refusing booleans and numbers with a fractional part with a ValueError."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
 
-    def parses(value):
-        try:
-            finite(value)
-            return True
-        except (TypeError, ValueError):
-            return False
 
-    bad = {col: row.get(col) for col in columns if not parses(row.get(col))}
-    return FormatError(f"{source}, line {line}: missing or not a finite number: {bad}")
+def read_csv(path, columns, text):
+    """The header and the rows, as dicts over the header, of a CSV file that
+    holds `columns`: the `text` column stays a string and every other column
+    must hold a finite number.  A missing or repeated column, a row with more
+    or fewer fields than the header, or a cell that is not a finite number is
+    a FormatError naming `path` and the line.  Blank lines are skipped."""
+    with open(path, newline="") as fh, parse_errors(path):
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if not set(columns) <= set(header) or len(set(header)) != len(header):
+            raise FormatError(f"{path}, line 1: the header must name the columns "
+                              f"{', '.join(columns)} and no column twice, found {header}")
+        rows = []
+        for row in filter(None, reader):
+            if len(row) != len(header):
+                raise FormatError(f"{path}, line {reader.line_num}: "
+                                  f"expected {len(header)} fields, found {len(row)}")
+            values = {}
+            for col, cell in zip(header, row):
+                try:
+                    values[col] = cell if col == text else finite(cell)
+                except ValueError:
+                    raise FormatError(f"{path}, line {reader.line_num}: "
+                                      f"{col} is not a finite number: {cell!r}") from None
+            rows.append(values)
+    return header, rows

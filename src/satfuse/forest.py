@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import (ConfigError, CoverageError, FormatError, PartitionError, SchemaError,
-                     ValidationError, csv_value_error, finite, parse_errors)
+                     ValidationError, integer, parse_errors, read_csv)
 from .raster import Raster
 
 __all__ = [
@@ -43,6 +43,8 @@ __all__ = [
     "predict",
     "oob_r2",
     "cross_validate",
+    "QUADRAT_COLUMNS",
+    "load_quadrats_csv",
     "save_samples_csv",
     "load_samples_csv",
 ]
@@ -284,8 +286,8 @@ class ForestModel:
             return cls(
                 trees,
                 ForestConfig(**doc["config"]),
-                int(doc["seed"]),
-                int(doc["n_features"]),
+                integer(doc["seed"]),
+                integer(doc["n_features"]),
                 tuple(doc["target_range"]),
             )
 
@@ -414,7 +416,23 @@ def cross_validate(
 
 
 # ---------------------------------------------------------------------------
-# samples CSV: id,x_m,y_m,side_m,target,<band columns>
+# quadrat CSV: each quadrat's id (text), center and side (m) and field target;
+# a samples CSV adds one column per band
+QUADRAT_COLUMNS = ("id", "x_m", "y_m", "side_m", "target")
+
+
+def load_quadrats_csv(path):
+    """Returns (quadrats, targets, band_names, features): every column other
+    than `QUADRAT_COLUMNS` is a band column, in file order."""
+    header, rows = read_csv(path, QUADRAT_COLUMNS, text=QUADRAT_COLUMNS[0])
+    band_names = [col for col in header if col not in QUADRAT_COLUMNS]
+    quadrats, targets = [], []
+    for row in rows:
+        ident, x, y, side, target = (row[col] for col in QUADRAT_COLUMNS)
+        quadrats.append(Quadrat(ident, x, y, side))
+        targets.append(target)
+    features = np.array([[row[band] for band in band_names] for row in rows])
+    return quadrats, np.array(targets), band_names, features
 
 
 def save_samples_csv(path, quadrats, targets, features, band_names) -> None:
@@ -423,7 +441,7 @@ def save_samples_csv(path, quadrats, targets, features, band_names) -> None:
         raise ValidationError("features shape must be (n_quadrats, n_bands)")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["id", "x_m", "y_m", "side_m", "target"] + list(band_names))
+        writer.writerow(list(QUADRAT_COLUMNS) + list(band_names))
         for q, t, row in zip(quadrats, targets, features):
             writer.writerow(
                 [q.id, repr(float(q.x)), repr(float(q.y)), repr(float(q.side)), repr(float(t))]
@@ -433,26 +451,7 @@ def save_samples_csv(path, quadrats, targets, features, band_names) -> None:
 
 def load_samples_csv(path):
     """Returns (quadrats, targets, features, band_names)."""
-    with open(path, newline="") as fh, parse_errors(path):
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        fixed = ["id", "x_m", "y_m", "side_m", "target"]
-        if header is None or header[: len(fixed)] != fixed or len(header) <= len(fixed):
-            raise ValidationError(
-                "samples CSV must start with columns id,x_m,y_m,side_m,target "
-                "followed by at least one band column"
-            )
-        band_names = header[len(fixed):]
-        quadrats, targets, rows = [], [], []
-        for row in reader:
-            if len(row) != len(header):
-                raise FormatError(f"{path}, line {reader.line_num}: "
-                                  f"expected {len(header)} fields, found {len(row)}")
-            try:
-                quadrats.append(Quadrat(row[0], finite(row[1]), finite(row[2]), finite(row[3])))
-                targets.append(finite(row[4]))
-                rows.append([finite(v) for v in row[5:]])
-            except ValueError:
-                raise csv_value_error(path, reader.line_num, dict(zip(header, row)),
-                                      header[1:]) from None
-    return quadrats, np.array(targets), np.array(rows), band_names
+    quadrats, targets, band_names, features = load_quadrats_csv(path)
+    if not band_names:
+        raise FormatError(f"{path}: a samples CSV needs at least one band column")
+    return quadrats, targets, features, band_names

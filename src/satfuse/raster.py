@@ -162,10 +162,10 @@ class Raster:
         wl = None if self.wavelengths is None else self.wavelengths.copy()
         return Raster(self.grid, self.values.copy(), list(self.band_names), self.mask.copy(), wl)
 
-    def filled_values(self, fill: float = 0.0) -> np.ndarray:
-        """float64 values with invalid pixels replaced by `fill`."""
+    def filled_values(self) -> np.ndarray:
+        """float64 values with invalid pixels set to zero."""
         out = self.values.astype(np.float64)
-        out[:, ~self.mask] = fill
+        out[:, ~self.mask] = 0.0
         return out
 
 

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DomainError, SchemaError, ValidationError, csv_value_error, finite,
-                     parse_errors)
+from .errors import DomainError, SchemaError, ValidationError, parse_errors, read_csv
 from .nnls import nnls
 from .raster import Raster
 
@@ -54,6 +53,10 @@ SYNTHETIC_VNIR_BANDS = [
     ("B8", 833.0, 106.0),
     ("B8A", 865.0, 22.0),
 ]
+
+
+# columns of the response table CSV; `band` holds text, the others numbers
+_CSV_COLUMNS = ("band", "wavelength_nm", "response")
 
 
 def _fwhm_to_sigma(fwhm: float) -> float:
@@ -95,7 +98,7 @@ class SpectralResponseTable:
         """Write `band,wavelength_nm,response` rows sorted by band then wavelength."""
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["band", "wavelength_nm", "response"])
+            writer.writerow(_CSV_COLUMNS)
             for name in sorted(self.bands):
                 wl, resp = self.bands[name]
                 for w, r in zip(wl, resp):
@@ -103,28 +106,12 @@ class SpectralResponseTable:
 
     @classmethod
     def from_csv(cls, path) -> "SpectralResponseTable":
-        rows: dict[str, list[tuple[float, float]]] = {}
-        with open(path, newline="") as fh, parse_errors(path):
-            reader = csv.DictReader(fh)
-            required = {"band", "wavelength_nm", "response"}
-            if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-                raise ValidationError(
-                    f"response table CSV must have columns {sorted(required)}"
-                )
-            for row in reader:
-                try:
-                    sample = (finite(row["wavelength_nm"]), finite(row["response"]))
-                except (TypeError, ValueError):
-                    raise csv_value_error(path, reader.line_num, row,
-                                          ("wavelength_nm", "response")) from None
-                rows.setdefault(row["band"], []).append(sample)
-        bands = {}
-        for name, samples in rows.items():
-            samples.sort()
-            wl = np.array([s[0] for s in samples])
-            resp = np.array([s[1] for s in samples])
-            bands[name] = (wl, resp)
-        return cls(bands)
+        _, rows = read_csv(path, _CSV_COLUMNS, "band")
+        samples: dict[str, list[tuple[float, float]]] = {}
+        for row in rows:
+            samples.setdefault(row["band"], []).append((row["wavelength_nm"], row["response"]))
+        # each band's pairs in wavelength order, as a wavelength and a response column
+        return cls({name: tuple(np.array(sorted(pairs)).T) for name, pairs in samples.items()})
 
 
 @dataclass(frozen=True)
@@ -324,17 +311,15 @@ def simulate_bands(cube: Raster, weights: BandWeights) -> Raster:
     )
 
 
-def synthetic_vnir_srf(
-    bands: list[tuple[str, float, float]] | None = None,
-    step_nm: float = 1.0,
-) -> SpectralResponseTable:
-    """Gaussian-shaped stand-in response table for the 8 VNIR satellite bands."""
+def synthetic_vnir_srf() -> SpectralResponseTable:
+    """Gaussian-shaped stand-in response table for the 8 VNIR satellite bands,
+    sampled every 1 nm out to 3.5 sigma on each side of the center."""
     table = {}
-    for name, center, fwhm in bands if bands is not None else SYNTHETIC_VNIR_BANDS:
+    for name, center, fwhm in SYNTHETIC_VNIR_BANDS:
         sigma = _fwhm_to_sigma(fwhm)
         lo = math.floor(center - 3.5 * sigma)
         hi = math.ceil(center + 3.5 * sigma)
-        wl = np.arange(lo, hi + step_nm / 2, step_nm)
+        wl = np.arange(lo, hi + 0.5, 1.0)
         resp = np.exp(-((wl - center) ** 2) / (2 * sigma * sigma))
         table[name] = (wl, resp / resp.max())
     return SpectralResponseTable(table)

@@ -15,13 +15,13 @@ serialized as little-endian float32.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .bsf import read_framed, write_framed
-from .errors import ConfigError, CorruptionError, ShapeError, parse_errors
+from .errors import ConfigError, CorruptionError, ShapeError, finite, integer, parse_errors
 from .raster import Raster
 
 __all__ = [
@@ -90,10 +90,10 @@ class ArchConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ArchConfig":
         return cls(
-            in_channels=int(d["in_channels"]),
-            out_channels=int(d["out_channels"]),
-            layers=tuple((int(k), int(f)) for k, f in d["layers"]),
-            slope=float(d.get("slope", 0.1)),
+            in_channels=integer(d["in_channels"]),
+            out_channels=integer(d["out_channels"]),
+            layers=tuple((integer(k), integer(f)) for k, f in d["layers"]),
+            slope=finite(d.get("slope", 0.1)),
             name=str(d.get("name", "custom")),
         )
 
@@ -106,8 +106,9 @@ PRESETS: dict[str, ArchConfig] = {
     # satellite-only sharpening for unflown areas / dates: wider first kernel
     # to bridge the larger resolution gap
     "spatial": ArchConfig(8, 8, ((13, 64), (5, 32), (5, 8)), 0.1, "spatial"),
-    "temporal": ArchConfig(8, 8, ((13, 64), (5, 32), (5, 8)), 0.1, "temporal"),
 }
+# an alias of `spatial`: the same net, only the name it records differs
+PRESETS["temporal"] = replace(PRESETS["spatial"], name="temporal")
 
 
 def preset(name: str) -> ArchConfig:
@@ -487,7 +488,7 @@ def load_checkpoint(path) -> SrcnnModel:
     header, data, body = read_framed(path, b"")
     with parse_errors(f"{path}: checkpoint header"):
         arch = ArchConfig.from_dict(header["arch"])
-        seed = int(header.get("seed", 0))
+        seed = integer(header.get("seed", 0))
         train_meta = dict(header.get("train_meta", {}))
     n_payload = len(data) - body
     expected = arch.parameter_count() * 4

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 
@@ -298,6 +299,32 @@ class TestRfCommands:
         assert doc == doc2
 
 
+def test_pinned_csv_path_outputs(tmp_path, monkeypatch, capsys):
+    """sha256 of the files written from the CSV readers' output, recorded
+    before the three readers were merged into one; their bytes must not move."""
+    monkeypatch.chdir(tmp_path)
+    synthetic_vnir_srf().to_csv("srf.csv")
+    write_bsf(random_raster(4, 32, 32, 3, band_names=["B2", "B4", "B8"]), "r.bsf")
+    with open("q.csv", "w") as fh:
+        fh.write("id,x_m,y_m,side_m,target\n")
+        for i in range(30):
+            fh.write(f"q{i},{0.375 + (i % 6) * 0.625},{0.5 + (i // 6) * 0.75},0.5,"
+                     f"{1 + (i * 7 % 11) / 4}\n")
+    for argv in (["fit-srf", "--srf", "srf.csv", "--camera", "even:24", "--out-weights", "w.json"],
+                 ["rf-samples", "--raster", "r.bsf", "--quadrats", "q.csv",
+                  "--out-samples", "s.csv"],
+                 ["--out", "cv.json", "rf-cv", "--samples", "s.csv", "--k", "5",
+                  "--n-trees", "10", "--seed", "3"]):
+        assert main(argv) == 0, capsys.readouterr().err
+    digests = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("w.json", "s.csv", "cv.json")]
+    assert digests == [
+        "b8368fce16a36133ac65769b4daa5b16b6a9f94242f9fb7b787eb22a55b4933a",
+        "5b1b88399b31c06dcdc726be011407ede9e65b2d6f3343549f1edb3657e65bea",
+        "3fe1b55a7530f484c907d557d1b43bc9ff20f683f20acdc34bd0bf6ab5525690",
+    ]
+
+
 def _checkpoint(header) -> bytes:
     data = json.dumps(header).encode()
     return struct.pack("<I", len(data)) + data
@@ -321,7 +348,30 @@ def _bsf(**changes) -> bytes:
     return b"BSF1" + struct.pack("<I", len(data)) + data + bytes(2 * 8 * 8 * 4)
 
 
+# ArchConfig(2, 2, ((3, 4), (3, 2))): 144 weights, 576 bytes in a checkpoint
+_TINY_ARCH = {"in_channels": 2, "out_channels": 2, "layers": [[3, 4], [3, 2]], "slope": 0.1,
+              "name": "custom"}
+
+
+def _tiny_train(arch=None, **changes) -> str:
+    """A one-epoch run-config that trains on `r.bsf` as its own target, with `changes`."""
+    return json.dumps({"version": 1, "arch": {**_TINY_ARCH, **(arch or {})},
+                       "pairs": [{"input": "r.bsf", "target": "r.bsf"}], "scale": 1,
+                       "patch_coarse": 4, "epochs": 1, "batch_size": 4,
+                       "out_checkpoint": "x.ckpt", **changes})
+
+
+def _gen_stage(**changes) -> dict:
+    return {"stage": "gen-synthetic", "width": 16, "height": 16, "scenes": 3, "n_bands": 8,
+            "out": "gen", **changes}
+
+
+_TRAIN_T = ["train", "--config", "t.json"]
+_INFER_M = ["infer", "--checkpoint", "m.ckpt", "--input", "r.bsf", "--out-raster", "o.bsf"]
 _SAMPLES_HEAD = "id,x_m,y_m,side_m,target,B2\n"
+_SRF_HEAD = "band,wavelength_nm,response\n"
+_FIT_SRF = ["fit-srf", "--srf", "bad.csv", "--out-weights", "w.json"]
+_QUADRATS_HEAD = "id,x_m,y_m,side_m,target\n"
 _EVALUATE_G = ["evaluate", "--pred", "g.bsf", "--truth", "r.bsf"]
 _RF_SAMPLES_Q = ["rf-samples", "--raster", "r.bsf", "--quadrats", "q.csv", "--out-samples", "s.csv"]
 
@@ -406,6 +456,35 @@ CONTRACT_CASES = {
     "train-config-nested-too-deep": ({"t.json": b"[" * 10**5}, ["train", "--config", "t.json"]),
     "quadrats-nan": ({"q.csv": "id,x_m,y_m,side_m,target\nq0,nan,0.5,0.25,2\n"}, _RF_SAMPLES_Q),
     "quadrats-inf": ({"q.csv": "id,x_m,y_m,side_m,target\nq0,inf,0.5,0.25,2\n"}, _RF_SAMPLES_Q),
+    # integers from outside are not truncated, and booleans are not numbers
+    "train-config-epochs-float": ({"t.json": _tiny_train(epochs=1.5)}, _TRAIN_T),
+    "train-config-seed-float": ({"t.json": _tiny_train(seed=2.9)}, _TRAIN_T),
+    "train-config-batch-size-true": ({"t.json": _tiny_train(batch_size=True)}, _TRAIN_T),
+    "train-config-learning-rate-true": ({"t.json": _tiny_train(learning_rate=True)}, _TRAIN_T),
+    "train-config-arch-slope-true": ({"t.json": _tiny_train(arch={"slope": True})}, _TRAIN_T),
+    "train-config-arch-in-channels-float": (
+        {"t.json": _tiny_train(arch={"in_channels": 2.9})}, _TRAIN_T),
+    "pipeline-width-float": ({"p.json": _pipeline(_gen_stage(width=16.5))},
+                             ["pipeline", "--config", "p.json"]),
+    "pipeline-shift-float-and-bool": ({"p.json": _pipeline(_gen_stage(shift=[1.7, True]))},
+                                      ["pipeline", "--config", "p.json"]),
+    "shift-report-float": (
+        {"reg.json": json.dumps({"shift_px": [2.9, 0]})},
+        ["align", "--fine", "r.bsf", "--coarse", "r.bsf", "--target-pixel", "0.125",
+         "--apply-shift", "reg.json", "--out-raster", "o.bsf"]),
+    "checkpoint-seed-float": (
+        {"m.ckpt": _checkpoint({"arch": _TINY_ARCH, "seed": 2.9, "payload_bytes": 576})
+         + bytes(576)}, _INFER_M),
+    # one rule for every CSV row: as many fields as the header, numbers outside the text column
+    "srf-long-row": ({"bad.csv": _SRF_HEAD + "B2,480,0.5\nB2,490,1\nB2,500,0.5,9\n"}, _FIT_SRF),
+    "srf-extra-text-column": (
+        {"bad.csv": "band,wavelength_nm,response,note\nB2,480,0.5,a\nB2,490,1,b\n"}, _FIT_SRF),
+    "srf-empty": ({"bad.csv": ""}, _FIT_SRF),
+    "quadrats-long-row": ({"q.csv": _QUADRATS_HEAD + "q0,0.5,0.5,0.5,2,99\n"}, _RF_SAMPLES_Q),
+    "quadrats-empty": ({"q.csv": ""}, _RF_SAMPLES_Q),
+    "samples-long-row": (
+        {"bad.csv": _SAMPLES_HEAD + "q0,1,1,0.5,2,0.3,9\n"}, ["rf-cv", "--samples", "bad.csv"]),
+    "samples-empty": ({"bad.csv": ""}, ["rf-cv", "--samples", "bad.csv"]),
 }
 
 

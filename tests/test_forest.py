@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -405,6 +406,20 @@ class TestSamplesCsv:
         back = ForestModel.from_json(p)
         q = np.random.default_rng(1).uniform(size=(20, 8))
         assert np.array_equal(predict(model, q), predict(back, q))
+
+    @pytest.mark.parametrize("field, value", [("seed", 2.9), ("n_features", 7.5),
+                                              ("seed", True), ("n_features", "8")])
+    def test_model_json_integer_fields(self, tmp_path, field, value):
+        """Integer fields are read as written, never truncated; a digit string is an integer."""
+        model = fit_forest(*linear_benchmark(n=30, seed=2), ForestConfig(n_trees=2), seed=5)
+        p = tmp_path / "forest.json"
+        model.to_json(p)
+        p.write_text(json.dumps(dict(json.loads(p.read_text()), **{field: value})))
+        if isinstance(value, str):
+            assert getattr(ForestModel.from_json(p), field) == int(value)
+        else:
+            with pytest.raises(FormatError, match="integer"):
+                ForestModel.from_json(p)
 
     def test_model_json_without_trees_is_format_error(self, tmp_path):
         p = tmp_path / "forest.json"
