@@ -14,7 +14,7 @@ resampled or modified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -134,8 +134,7 @@ def snap_to_grid(fine: Raster, coarse_grid: GeoGrid, target_pixel: float) -> Ras
     )
     sl_r = slice(ra * ry, rb * ry)
     sl_c = slice(ca * rx, cb * rx)
-    wl = None if fine.wavelengths is None else fine.wavelengths.copy()
-    return Raster(grid, values[:, sl_r, sl_c], list(fine.band_names), mask[sl_r, sl_c], wl)
+    return replace(fine, grid=grid, values=values[:, sl_r, sl_c], mask=mask[sl_r, sl_c])
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +158,7 @@ class _ScoreContext:
         self.offx, self.offy = int(round(offx)), int(round(offy))
         self.fine = fine
         self.coarse = coarse
-        self.shared_bands = list(fine.band_names) == list(coarse.band_names)
+        self.shared_bands = fine.band_names == coarse.band_names
 
         vals = fine.filled_values()
         nb, H, W = vals.shape

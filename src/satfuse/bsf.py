@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .errors import CorruptionError, FormatError, ValidationError, parse_errors
+from .errors import CorruptionError, FormatError, ValidationError, finite, parse_errors
 from .raster import GeoGrid, Raster
 
 MAGIC = b"BSF1"
@@ -106,10 +106,12 @@ def read_bsf(path) -> Raster:
             raise FormatError(f"{path}: bands must be a non-empty array", offset=8)
         if not all(type(n) is int and n > 0 for n in (width, height)):
             raise FormatError(f"{path}: width/height must be positive integers", offset=8)
-        ox, pw, rot_x, oy, rot_y, ph = (float(v) for v in header["geotransform"])
+        ox, pw, rot_x, oy, rot_y, ph = (finite(v) for v in header["geotransform"])
         if rot_x != 0 or rot_y != 0:
             raise FormatError(f"{path}: rotated geotransforms are not supported", offset=8)
         names = [str(entry["name"]) for entry in bands]
+        if any(isinstance(entry.get("wavelength_nm"), bool) for entry in bands):
+            raise FormatError(f"{path}: wavelength_nm must be a number", offset=8)
         wavelengths = np.array([float(entry.get("wavelength_nm", math.nan)) for entry in bands])
         if not any("wavelength_nm" in entry for entry in bands):
             wavelengths = None

@@ -48,7 +48,8 @@ def _load_config(path: Path) -> dict:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: config must be a JSON object")
-    if doc.pop("version", None) != CONFIG_VERSION:
+    version = doc.pop("version", None)
+    if isinstance(version, bool) or version != CONFIG_VERSION:
         raise ValidationError(f"{path}: missing or unsupported version (expected {CONFIG_VERSION})")
     return doc
 

@@ -8,11 +8,19 @@ are the outer corner of the upper-left pixel, x grows to the right and y
 
 All statistics and resampling arithmetic accumulate in 64-bit; stored values
 stay 32-bit.
+
+A raster owns its metadata: construction stores the band names, wavelengths
+and mask as fresh copies, so later edits to the caller's list or arrays do
+not reach the raster.  The values are not copied (a hyperspectral cube can
+be hundreds of megabytes); they are only converted to float32 when they are
+not float32 already.  A raster derived from another, on a new grid or with
+new values, is ``dataclasses.replace`` of its source, which carries the band
+names and wavelengths over through the same constructor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -117,19 +125,19 @@ class Raster:
             raise ValidationError(
                 f"band planes {h}x{w} do not match grid {self.grid.height}x{self.grid.width}"
             )
+        self.band_names = list(self.band_names)
         if len(self.band_names) != nb:
             raise ValidationError("band_names length must equal band count")
         if self.mask is None:
             self.mask = np.ones((h, w), dtype=bool)
         else:
-            self.mask = np.asarray(self.mask, dtype=bool)
+            self.mask = np.array(self.mask, dtype=bool)
             if self.mask.shape != (h, w):
                 raise ValidationError("mask shape must match grid")
         if nb:
-            finite = np.isfinite(self.values).all(axis=0)
-            self.mask = self.mask & finite
+            self.mask &= np.isfinite(self.values).all(axis=0)
         if self.wavelengths is not None:
-            self.wavelengths = np.asarray(self.wavelengths, dtype=np.float64)
+            self.wavelengths = np.array(self.wavelengths, dtype=np.float64)
             if self.wavelengths.shape != (nb,):
                 raise ValidationError("wavelengths length must equal band count")
 
@@ -150,17 +158,11 @@ class Raster:
     def select_bands(self, names: list[str], rename: list[str] | None = None) -> "Raster":
         idx = [self.band_names.index(n) for n in names]
         wl = self.wavelengths[idx] if self.wavelengths is not None else None
-        return Raster(
-            grid=self.grid,
-            values=self.values[idx].copy(),
-            band_names=list(rename) if rename is not None else list(names),
-            mask=self.mask.copy(),
-            wavelengths=wl,
-        )
+        names = names if rename is None else rename
+        return replace(self, values=self.values[idx], band_names=names, wavelengths=wl)
 
     def copy(self) -> "Raster":
-        wl = None if self.wavelengths is None else self.wavelengths.copy()
-        return Raster(self.grid, self.values.copy(), list(self.band_names), self.mask.copy(), wl)
+        return replace(self, values=self.values.copy())
 
     def filled_values(self) -> np.ndarray:
         """float64 values with invalid pixels set to zero."""
@@ -198,9 +200,7 @@ def block_mean(r: Raster, factor: int) -> Raster:
     sums = blocks.sum(axis=(2, 4))
     with np.errstate(invalid="ignore"):
         means = np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
-    out_mask = counts * 2 >= factor * factor
-    wl = None if r.wavelengths is None else r.wavelengths.copy()
-    return Raster(r.grid.scaled(factor), means.astype(np.float32), list(r.band_names), out_mask, wl)
+    return replace(r, grid=r.grid.scaled(factor), values=means, mask=counts * 2 >= factor * factor)
 
 
 def _catmull_rom_weights(t: np.ndarray) -> np.ndarray:
@@ -254,9 +254,7 @@ def upsample_bicubic(r: Raster, factor: int) -> Raster:
     gathered = horiz[:, row_idx, :]                     # (nb, 4, h_out, w_out)
     out = np.einsum("bthw,th->bhw", gathered, row_w)
     out_mask = mask_h[row_idx, :].all(axis=0)
-
-    wl = None if r.wavelengths is None else r.wavelengths.copy()
-    return Raster(r.grid.refined(factor), out.astype(np.float32), list(r.band_names), out_mask, wl)
+    return replace(r, grid=r.grid.refined(factor), values=out, mask=out_mask)
 
 
 def stack_bands(a: Raster, b: Raster) -> Raster:
@@ -269,14 +267,13 @@ def stack_bands(a: Raster, b: Raster) -> Raster:
     if a.grid != b.grid:
         raise AlignmentError(f"grid mismatch: {a.grid} vs {b.grid}")
     values = np.concatenate([a.values, b.values], axis=0)
-    names = list(a.band_names) + list(b.band_names)
     if a.wavelengths is None and b.wavelengths is None:
         wl = None
     else:
         wa = a.wavelengths if a.wavelengths is not None else np.full(a.n_bands, np.nan)
         wb = b.wavelengths if b.wavelengths is not None else np.full(b.n_bands, np.nan)
         wl = np.concatenate([wa, wb])
-    return Raster(a.grid, values, names, a.mask & b.mask, wl)
+    return Raster(a.grid, values, a.band_names + b.band_names, a.mask & b.mask, wl)
 
 
 def translate_pixels(r: Raster, dx: int, dy: int) -> Raster:
@@ -298,5 +295,4 @@ def translate_pixels(r: Raster, dx: int, dy: int) -> Raster:
     dst_c = slice(max(0, dx), w - max(0, -dx))
     vals[:, dst_r, dst_c] = r.values[:, src_r, src_c]
     mask[dst_r, dst_c] = r.mask[src_r, src_c]
-    wl = None if r.wavelengths is None else r.wavelengths.copy()
-    return Raster(r.grid, vals, list(r.band_names), mask, wl)
+    return replace(r, values=vals, mask=mask)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SchemaError, ValidationError, parse_errors, read_csv
+from .errors import DomainError, SchemaError, ValidationError, finite, parse_errors, read_csv
 from .nnls import nnls
 from .raster import Raster
 
@@ -143,7 +143,7 @@ class HyperBandSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "HyperBandSpec":
-        return cls(np.asarray(d["centers"], dtype=np.float64), float(d["fwhm_nm"]))
+        return cls(np.array([finite(c) for c in d["centers"]]), finite(d["fwhm_nm"]))
 
 
 def default_camera() -> HyperBandSpec:
@@ -239,9 +239,10 @@ class BandWeights:
             doc = json.load(fh)
             camera = HyperBandSpec.from_dict(doc["camera"])
             names = [b["name"] for b in doc["bands"]]
-            weights = np.array([b["weights"] for b in doc["bands"]], dtype=np.float64)
-            residuals = np.array([b["residual"] for b in doc["bands"]])
-            norms = np.array([b["normalization"] for b in doc["bands"]])
+            weights = np.array([[finite(w) for w in b["weights"]] for b in doc["bands"]],
+                               dtype=np.float64)
+            residuals = np.array([finite(b["residual"]) for b in doc["bands"]])
+            norms = np.array([finite(b["normalization"]) for b in doc["bands"]])
             return cls(camera, names, weights, residuals, norms)
 
 
@@ -302,13 +303,7 @@ def simulate_bands(cube: Raster, weights: BandWeights) -> Raster:
     for r0 in range(0, H, rows_per):
         slab = cube.values[:, r0 : r0 + rows_per].astype(np.float64)
         vals[:, r0 : r0 + rows_per] = np.tensordot(weights.weights, slab, axes=([1], [0]))
-    return Raster(
-        cube.grid,
-        vals,
-        list(weights.band_names),
-        cube.mask.copy(),
-        weights.effective_centers(),
-    )
+    return Raster(cube.grid, vals, weights.band_names, cube.mask, weights.effective_centers())
 
 
 def synthetic_vnir_srf() -> SpectralResponseTable:

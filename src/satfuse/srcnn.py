@@ -83,9 +83,14 @@ class ArchConfig:
     def receptive_radius(self) -> int:
         return sum(k // 2 for k, _ in self.layers)
 
-    def parameter_count(self) -> int:
+    @property
+    def weight_shapes(self) -> list[tuple[int, int, int, int]]:
+        """(c_out, c_in, k, k) of each layer's weights, in layer order."""
         chain = self.channel_chain
-        return sum(k * k * chain[i] * chain[i + 1] for i, (k, _) in enumerate(self.layers))
+        return [(f, chain[i], k, k) for i, (k, f) in enumerate(self.layers)]
+
+    def parameter_count(self) -> int:
+        return sum(math.prod(shape) for shape in self.weight_shapes)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ArchConfig":
@@ -135,12 +140,10 @@ class SrcnnModel:
 def build_model(arch: ArchConfig, seed: int = 0) -> SrcnnModel:
     """He-uniform initialization, deterministic for a given seed."""
     rng = np.random.default_rng(seed)
-    chain = arch.channel_chain
     weights = []
-    for i, (k, _) in enumerate(arch.layers):
-        c_in, c_out = chain[i], chain[i + 1]
-        limit = np.sqrt(6.0 / (k * k * c_in))
-        weights.append(rng.uniform(-limit, limit, size=(c_out, c_in, k, k)))
+    for shape in arch.weight_shapes:
+        limit = np.sqrt(6.0 / math.prod(shape[1:]))  # fan-in c_in * k * k
+        weights.append(rng.uniform(-limit, limit, size=shape))
     return SrcnnModel(arch, weights, seed)
 
 
@@ -462,7 +465,7 @@ def infer_tiled(
             out[:, wr0:wr1, wc0:wc1] = y[:, 0, wr0 - r0 : wr1 - r0, wc0 - c0 : wc1 - c0]
     if band_names is None:
         band_names = [f"band{i}" for i in range(c_out)]
-    return Raster(inputs.grid, out.astype(np.float32), band_names, inputs.mask.copy())
+    return Raster(inputs.grid, out, band_names, inputs.mask)
 
 
 # ---------------------------------------------------------------------------
@@ -497,14 +500,10 @@ def load_checkpoint(path) -> SrcnnModel:
             f"parameter block length mismatch: header says {header.get('payload_bytes')}, "
             f"architecture needs {expected}, file holds {n_payload}"
         )
-    flat = np.frombuffer(data, dtype="<f4", offset=body).astype(np.float64)
-    weights = []
-    pos = 0
-    chain = arch.channel_chain
-    for i, (k, _) in enumerate(arch.layers):
-        shape = (chain[i + 1], chain[i], k, k)
-        n = int(np.prod(shape))
-        weights.append(flat[pos : pos + n].reshape(shape).copy())
-        pos += n
+    weights, pos = [], body
+    for shape in arch.weight_shapes:
+        n = math.prod(shape)
+        weights.append(np.frombuffer(data, "<f4", n, pos).astype(np.float64).reshape(shape))
+        pos += 4 * n
     return SrcnnModel(arch, weights, seed, train_meta)
 

@@ -138,9 +138,7 @@ def gen_hyper_scene(cfg: SceneConfig, return_parts: bool = False):
     cube = np.einsum("mk,mhw->khw", E, ab)
     np.clip(cube, 0.0, 1.0, out=cube)
     names = [f"hs{k:03d}" for k in range(cfg.n_bands)]
-    raster = Raster(
-        cfg.fine_grid(), cube.astype(np.float32), names, wavelengths=camera.centers
-    )
+    raster = Raster(cfg.fine_grid(), cube, names, wavelengths=camera.centers)
     if return_parts:
         return raster, ab, E
     return raster
@@ -169,13 +167,7 @@ def degrade(fine: Raster, cfg: SceneConfig) -> Raster:
         rng = np.random.default_rng([cfg.seed, 2])
         vals = vals + rng.normal(0.0, cfg.noise_sigma, size=vals.shape)
     np.clip(vals, 0.0, 1.0, out=vals)
-    return Raster(
-        coarse.grid,
-        vals.astype(np.float32),
-        list(coarse.band_names),
-        coarse.mask,
-        None if coarse.wavelengths is None else coarse.wavelengths.copy(),
-    )
+    return replace(coarse, values=vals)
 
 
 def _split_sizes(n_scenes: int) -> list[str]:

@@ -325,6 +325,42 @@ def test_pinned_csv_path_outputs(tmp_path, monkeypatch, capsys):
     ]
 
 
+PINNED_RASTER_CHAIN = {
+    "aligned.bsf": "fda1447ed695b40d3b8891e6bfa7a00b062d788aaec7bb9220255fdd5669f56d",
+    "manifest.json": "d9a14f3767770faa7f129ddddb7cf89c27e847202f55f4983812a42276311f3b",
+    "scene00_coarse.bsf": "2cd61611a6f967f699d6e2f933c5d915b2932bb30fbf996114fadef4f00c91a5",
+    "scene00_coarse_up.bsf": "4145f5a0d8cf624c66076c522e60ab33e56554dd5fb244fecb0f2a8840e146d8",
+    "scene00_hyper.bsf": "ac6aa3c94c2909a44ee21899abde20e2fee8af369c804cc6c77db8d4458edf87",
+    "scene00_rgb.bsf": "9dccc284cc300affccf0064730f6c1e543917b0fe84257c662d8f688d1ac56d3",
+    "scene00_truth8.bsf": "31b19a8bcfce49e811eee0696485fa8d1690b38a98a8171083f2cbdc88cee51a",
+    "scene01_coarse.bsf": "7c6465221c05c6a0dc101e2d14d42a8445197de4a158deaa43e04d965a3bcc79",
+    "scene01_coarse_up.bsf": "40591eef57ab5e95acb72ea4792def2d31a3ff6306278bd25fb605f2c6e6f751",
+    "scene01_hyper.bsf": "e8f1303002cda1356277bb034d51307534e8e54127eba4434b13ea4d3d6a1e0b",
+    "scene01_rgb.bsf": "d8c62611c01a63605b2c2fd93549e1fcba426b58ee426667771f9af305a14c53",
+    "scene01_truth8.bsf": "d9fce9a5bf91beee9db7e39b5f3b9c1bd66b3d74db92e2821fd4a7eef8383019",
+    "scene02_coarse.bsf": "b4b4c50cd4047bd4f7f4acb183a82f20957004b00a0c096bf1aa6be4cd56c20a",
+    "scene02_coarse_up.bsf": "8fca6ba39b28f8621329159f4298d54f479745523ab25e61e47576546b921919",
+    "scene02_hyper.bsf": "c654faa70bb55594c3c27a0e9eb822f6402ac0a8855dcf10661c039167aceb9e",
+    "scene02_rgb.bsf": "fffa847a1bf48a75b180fdbab97ef2e336731d8ff54f99585c1812a18be9a646",
+    "scene02_truth8.bsf": "dfe22ce61fb9963d6990b5eb8942fe030e2cc9f7df99578efb4d546e32caf58c",
+}
+
+
+def test_pinned_raster_chain_outputs(tmp_path, monkeypatch, capsys):
+    """sha256 of the dataset files and of an `align --apply-shift` output,
+    recorded before derived rasters were built by `replace` of their source;
+    their bytes, wavelength headers included, must not move."""
+    make_fusion_dataset(SceneConfig(seed=7, width=64, height=64, n_bands=8), 3, tmp_path / "d")
+    monkeypatch.chdir(tmp_path / "d")
+    (tmp_path / "d" / "reg.json").write_text(json.dumps({"shift_px": [2, -1]}))
+    assert main(["align", "--fine", "scene00_truth8.bsf", "--coarse", "scene00_coarse.bsf",
+                 "--target-pixel", "0.125", "--apply-shift", "reg.json",
+                 "--out-raster", "aligned.bsf"]) == 0, capsys.readouterr().err
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted((tmp_path / "d").iterdir()) if p.name != "reg.json"}
+    assert digests == PINNED_RASTER_CHAIN
+
+
 def _checkpoint(header) -> bytes:
     data = json.dumps(header).encode()
     return struct.pack("<I", len(data)) + data
@@ -366,6 +402,20 @@ def _gen_stage(**changes) -> dict:
             "out": "gen", **changes}
 
 
+def _camera(**changes) -> str:
+    return json.dumps({"centers": [400.0 + 50.0 * i for i in range(13)], "fwhm_nm": 60.0,
+                       **changes})
+
+
+def _weights(**changes) -> str:
+    """A one-band weights JSON fitted for the camera of `_CUBE`, with `changes` to the band."""
+    return json.dumps({"camera": {"centers": [500.0, 600.0], "fwhm_nm": 60.0}, "bands": [
+        {"name": "B2", "weights": [0.5, 0.5], "residual": 0.1, "normalization": 1.0, **changes}]})
+
+
+_CUBE = _bsf(bands=[{"name": "b0", "wavelength_nm": 500.0}, {"name": "b1", "wavelength_nm": 600.0}])
+_SIMULATE_W = ["simulate", "--cube", "cube.bsf", "--weights", "w.json", "--out-raster", "o.bsf"]
+_FIT_SRF_CAM = ["fit-srf", "--srf", "srf.csv", "--camera", "cam.json", "--out-weights", "w.json"]
 _TRAIN_T = ["train", "--config", "t.json"]
 _INFER_M = ["infer", "--checkpoint", "m.ckpt", "--input", "r.bsf", "--out-raster", "o.bsf"]
 _SAMPLES_HEAD = "id,x_m,y_m,side_m,target,B2\n"
@@ -485,6 +535,21 @@ CONTRACT_CASES = {
     "samples-long-row": (
         {"bad.csv": _SAMPLES_HEAD + "q0,1,1,0.5,2,0.3,9\n"}, ["rf-cv", "--samples", "bad.csv"]),
     "samples-empty": ({"bad.csv": ""}, ["rf-cv", "--samples", "bad.csv"]),
+    # booleans are not numbers in the float fields of camera, weights and BSF files
+    "camera-fwhm-true": ({"cam.json": _camera(fwhm_nm=True)}, _FIT_SRF_CAM),
+    "camera-center-true": (
+        {"cam.json": _camera(centers=[True] + [400.0 + 50.0 * i for i in range(13)])},
+        _FIT_SRF_CAM),
+    "weights-residual-true": ({"cube.bsf": _CUBE, "w.json": _weights(residual=True)}, _SIMULATE_W),
+    "weights-normalization-true": (
+        {"cube.bsf": _CUBE, "w.json": _weights(normalization=True)}, _SIMULATE_W),
+    "weights-weight-true": (
+        {"cube.bsf": _CUBE, "w.json": _weights(weights=[True, 0.5])}, _SIMULATE_W),
+    "bsf-geotransform-true": (
+        {"g.bsf": _bsf(geotransform=[0.0, 0.125, 0.0, True, 0.0, -0.125])}, _EVALUATE_G),
+    "bsf-wavelength-true": (
+        {"g.bsf": _bsf(bands=[{"name": "b0", "wavelength_nm": True}, {"name": "b1"}])},
+        _EVALUATE_G),
 }
 
 

@@ -9,9 +9,11 @@ that are not UTF-8.  Every mutated input must end in exit 1 or 2 with an
 
 Mutation sites are paths into the parsed input (``"arch/layers/0/1"``).  A
 type swap lists the replacement types it draws from (s = a non-numeric
-string, n = null, l = a list, f = a float, b = true); a site leaves out the
-types its reader accepts by conversion, such as ``int(1.5)`` for a seed.  A
-length change lists ``+`` (repeat the last item) and/or ``-`` (drop it).
+string, n = null, l = a list, f = a float, b = true).  The seeded swap sets
+leave some of these out; ``EXTRA_CASES`` lists those swaps one by one, so that
+every site sees ``b`` (but ``nodata_mask``, where true is valid) and every
+integer site sees ``f``, without redrawing the seeded cases.  A length change
+lists ``+`` (repeat the last item) and/or ``-`` (drop it).
 """
 
 import csv
@@ -171,6 +173,26 @@ def _draw_cases():
 
 CASES = _draw_cases()
 
+# (site, swap letters) the seeded swap sets above leave out
+EXTRA_SWAPS = {
+    "bsf": (("geotransform/0", "b"), ("bands/1/wavelength_nm", "b")),
+    "checkpoint": (("arch/slope", "b"),),
+    "weights": (("camera/fwhm_nm", "b"), ("bands/0/residual", "b"),
+                ("bands/0/normalization", "b")),
+    "camera": (("fwhm_nm", "b"), ("centers/2", "b")),
+    "srf": (("wavelength_nm", "b"), ("response", "b")),
+    "samples": (("x_m", "b"), ("side_m", "b"), ("target", "b"), ("B2", "b")),
+    "quadrats": (("x_m", "b"), ("y_m", "b"), ("side_m", "b"), ("target", "b")),
+    "train-config": (("version", "b"), ("epochs", "fb"), ("learning_rate", "b"),
+                     ("batch_size", "fb"), ("validation_fraction", "b")),
+    "pipeline-config": (("stages/1/k", "fb"), ("stages/2/width", "fb")),
+    "shift-report": (("shift_px/0", "fb"), ("shift_px/1", "fb")),
+}
+# a CSV swap lands in the middle row
+EXTRA_CASES = [(name, "swap", site, choice, 0.5 if READERS[name].file.endswith(".csv") else None)
+               for name, swaps in EXTRA_SWAPS.items() for site, choices in swaps
+               for choice in choices]
+
 
 def _case_id(case):
     return "-".join(str(part) for part in case if part is not None)
@@ -289,7 +311,8 @@ def test_valid_input_exits_zero(name, fixture_dir, tmp_path, monkeypatch, capsys
         capsys.readouterr().err
 
 
-@pytest.mark.parametrize("case", CASES, ids=[_case_id(c) for c in CASES])
+@pytest.mark.parametrize("case", CASES + EXTRA_CASES,
+                         ids=[_case_id(c) for c in CASES + EXTRA_CASES])
 def test_mutated_input_exits_with_error(case, fixture_dir, tmp_path, monkeypatch, capsys):
     name, *mutation = case
     reader = READERS[name]

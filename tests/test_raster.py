@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from satfuse.alignment import snap_to_grid
 from satfuse.errors import AlignmentError, DimensionError, ValidationError
 from satfuse.raster import (
     GeoGrid,
@@ -10,6 +11,7 @@ from satfuse.raster import (
     translate_pixels,
     upsample_bicubic,
 )
+from satfuse.synthetic import SceneConfig, degrade
 
 from conftest import make_grid, random_raster
 
@@ -47,6 +49,52 @@ class TestRaster:
         assert np.array_equal(r.band("nir"), r.values[1])
         with pytest.raises(KeyError):
             r.band("blue")
+
+
+# every operation that derives a raster from one source raster
+DERIVE = {
+    "copy": Raster.copy,
+    "select_bands": lambda r: r.select_bands(["b2", "b0"]),
+    "select_bands-rename": lambda r: r.select_bands(["b1"], rename=["nir"]),
+    "block_mean": lambda r: block_mean(r, 2),
+    "upsample_bicubic": lambda r: upsample_bicubic(r, 2),
+    "upsample_bicubic-factor-1": lambda r: upsample_bicubic(r, 1),
+    "translate_pixels": lambda r: translate_pixels(r, 1, -1),
+    "snap_to_grid": lambda r: snap_to_grid(r, GeoGrid(0.0, 2.0, 1.0, 1.0, 2, 2), 0.125),
+    "degrade": lambda r: degrade(r, SceneConfig(width=16, height=16, scale=4, shift=(1, 0))),
+}
+
+
+class TestOwnership:
+    """A raster keeps its own band names, wavelengths and mask; values are shared."""
+
+    def test_caller_edits_do_not_reach_the_raster(self):
+        names, wl = ["a", "b"], np.array([500.0, 600.0])
+        values, mask = np.zeros((2, 2, 2), dtype=np.float32), np.ones((2, 2), dtype=bool)
+        r = Raster(make_grid(2, 2), values, names, mask, wl)
+        names.append("c")
+        wl[0] = 1.0
+        mask[0, 0] = False
+        assert r.band_names == ["a", "b"]
+        assert r.wavelengths.tolist() == [500.0, 600.0]
+        assert r.mask.all()
+        assert r.values is values
+
+    @pytest.mark.parametrize("name", sorted(DERIVE))
+    def test_derived_raster_shares_no_metadata(self, name):
+        src = random_raster(3, 16, 16, 3, wavelengths=np.array([490.0, 560.0, 665.0]))
+        src.mask[5, 6] = False
+        before = src.copy()
+        out = DERIVE[name](src)
+        assert out.band_names is not src.band_names
+        assert not np.shares_memory(out.wavelengths, src.wavelengths)
+        assert not np.shares_memory(out.mask, src.mask)
+        out.band_names[0] = "x"
+        out.wavelengths[0] = 1.0
+        out.mask[0, 0] = not out.mask[0, 0]
+        assert src.band_names == before.band_names
+        assert np.array_equal(src.wavelengths, before.wavelengths)
+        assert np.array_equal(src.mask, before.mask)
 
 
 class TestBlockMean:

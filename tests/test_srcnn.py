@@ -85,6 +85,8 @@ class TestBuildModel:
     def test_parameter_count_matches_weights(self):
         m = build_model(preset("spectral"), seed=0)
         assert m.parameter_count() == 114624
+        assert m.arch.weight_shapes == [(64, 11, 9, 9), (32, 64, 5, 5), (8, 32, 5, 5)]
+        assert [w.shape for w in m.weights] == m.arch.weight_shapes
 
 
 class TestForward:
