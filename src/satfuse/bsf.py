@@ -5,7 +5,7 @@ A framed file is: a magic (``BSF1`` for BSF, empty for checkpoints), an
 unsigned 32-bit little-endian header length N, N bytes of compact UTF-8 JSON
 with sorted keys, then the data blocks.  A BSF header has the keys ``width``,
 ``height``, ``bands`` (array of ``{"name": ..., "wavelength_nm": ...}``,
-wavelength optional), ``dtype`` (must be ``"f32"``), ``geotransform``
+wavelength finite or absent), ``dtype`` (must be ``"f32"``), ``geotransform``
 (``[origin_x, pixel_w, 0, origin_y, 0, -pixel_h]``) and ``nodata_mask``; its
 data blocks are:
 
@@ -75,7 +75,7 @@ def write_bsf(r: Raster, path) -> None:
     bands = []
     for i, name in enumerate(r.band_names):
         entry = {"name": name}
-        if r.wavelengths is not None and np.isfinite(r.wavelengths[i]):
+        if np.isfinite(r.wavelengths[i]):
             entry["wavelength_nm"] = float(r.wavelengths[i])
         bands.append(entry)
     write_mask = not bool(r.mask.all())
@@ -110,11 +110,11 @@ def read_bsf(path) -> Raster:
         if rot_x != 0 or rot_y != 0:
             raise FormatError(f"{path}: rotated geotransforms are not supported", offset=8)
         names = [str(entry["name"]) for entry in bands]
-        if any(isinstance(entry.get("wavelength_nm"), bool) for entry in bands):
-            raise FormatError(f"{path}: wavelength_nm must be a number", offset=8)
+        # NaN (JSON NaN or an absent key) is a band without a wavelength
         wavelengths = np.array([float(entry.get("wavelength_nm", math.nan)) for entry in bands])
-        if not any("wavelength_nm" in entry for entry in bands):
-            wavelengths = None
+        if np.isinf(wavelengths).any() or any(
+                isinstance(entry.get("wavelength_nm"), bool) for entry in bands):
+            raise FormatError(f"{path}: wavelength_nm must be a finite number or absent", offset=8)
         grid = GeoGrid(ox, oy, pw, -ph, width, height)
 
     n_px = width * height

@@ -22,7 +22,6 @@ import logging
 import sys
 import time
 from dataclasses import dataclass, fields
-from functools import reduce
 from pathlib import Path
 from typing import Callable
 
@@ -163,7 +162,7 @@ def run_train(args: dict, base: Path) -> dict:
 
 def run_infer(args: dict, base: Path) -> dict:
     model = srcnn.load_checkpoint(args["checkpoint"])
-    raster = reduce(stack_bands, [read_bsf(_resolve(base, p)) for p in args["inputs"]])
+    raster = stack_bands(*[read_bsf(_resolve(base, p)) for p in args["inputs"]])
     out_raster = srcnn.infer_tiled(model, raster, band_names=args["band_names"])
     write_bsf(out_raster, args["out"])
     return {"out": str(args["out"]),

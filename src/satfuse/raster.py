@@ -9,6 +9,10 @@ are the outer corner of the upper-left pixel, x grows to the right and y
 All statistics and resampling arithmetic accumulate in 64-bit; stored values
 stay 32-bit.
 
+``Raster.wavelengths`` is always a float64 array with one entry per band, NaN
+for a band without a wavelength; ``wavelengths=None`` at construction means
+all NaN, as ``mask=None`` means all valid.
+
 A raster owns its metadata: construction stores the band names, wavelengths
 and mask as fresh copies, so later edits to the caller's list or arrays do
 not reach the raster.  The values are not copied (a hyperspectral cube can
@@ -106,15 +110,15 @@ class Raster:
     band_names
         one name per band plane.
     wavelengths
-        optional float array (bands,) of band-center wavelengths in nm; NaN
-        marks bands without wavelength metadata.
+        float64 array (bands,) of band-center wavelengths in nm; NaN marks a
+        band without one (None at construction: all NaN).
     """
 
     grid: GeoGrid
     values: np.ndarray
     band_names: list[str]
     mask: np.ndarray = None
-    wavelengths: np.ndarray | None = None
+    wavelengths: np.ndarray = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float32)
@@ -136,10 +140,10 @@ class Raster:
                 raise ValidationError("mask shape must match grid")
         if nb:
             self.mask &= np.isfinite(self.values).all(axis=0)
-        if self.wavelengths is not None:
-            self.wavelengths = np.array(self.wavelengths, dtype=np.float64)
-            if self.wavelengths.shape != (nb,):
-                raise ValidationError("wavelengths length must equal band count")
+        wl = self.wavelengths
+        self.wavelengths = np.full(nb, np.nan) if wl is None else np.array(wl, dtype=np.float64)
+        if self.wavelengths.shape != (nb,):
+            raise ValidationError("wavelengths length must equal band count")
 
     @property
     def n_bands(self) -> int:
@@ -157,9 +161,9 @@ class Raster:
 
     def select_bands(self, names: list[str], rename: list[str] | None = None) -> "Raster":
         idx = [self.band_names.index(n) for n in names]
-        wl = self.wavelengths[idx] if self.wavelengths is not None else None
         names = names if rename is None else rename
-        return replace(self, values=self.values[idx], band_names=names, wavelengths=wl)
+        return replace(self, values=self.values[idx], band_names=names,
+                       wavelengths=self.wavelengths[idx])
 
     def copy(self) -> "Raster":
         return replace(self, values=self.values.copy())
@@ -257,23 +261,23 @@ def upsample_bicubic(r: Raster, factor: int) -> Raster:
     return replace(r, grid=r.grid.refined(factor), values=out, mask=out_mask)
 
 
-def stack_bands(a: Raster, b: Raster) -> Raster:
-    """Concatenate the band lists of two rasters on an identical grid.
+def stack_bands(*rasters: Raster) -> Raster:
+    """Concatenate the bands of one or more rasters on one grid, in order.
 
-    The output mask is the conjunction of the input masks.
+    Names and wavelengths follow their bands; the output mask is the
+    conjunction of the input masks.
     """
-    _require_bands(a)
-    _require_bands(b)
-    if a.grid != b.grid:
-        raise AlignmentError(f"grid mismatch: {a.grid} vs {b.grid}")
-    values = np.concatenate([a.values, b.values], axis=0)
-    if a.wavelengths is None and b.wavelengths is None:
-        wl = None
-    else:
-        wa = a.wavelengths if a.wavelengths is not None else np.full(a.n_bands, np.nan)
-        wb = b.wavelengths if b.wavelengths is not None else np.full(b.n_bands, np.nan)
-        wl = np.concatenate([wa, wb])
-    return Raster(a.grid, values, a.band_names + b.band_names, a.mask & b.mask, wl)
+    if not rasters:
+        raise ValidationError("no rasters to stack")
+    grid = rasters[0].grid
+    for r in rasters:
+        _require_bands(r)
+        if r.grid != grid:
+            raise AlignmentError(f"grid mismatch: {grid} vs {r.grid}")
+    return Raster(grid, np.concatenate([r.values for r in rasters]),
+                  [name for r in rasters for name in r.band_names],
+                  np.logical_and.reduce([r.mask for r in rasters]),
+                  np.concatenate([r.wavelengths for r in rasters]))
 
 
 def translate_pixels(r: Raster, dx: int, dy: int) -> Raster:

@@ -285,17 +285,16 @@ def simulate_bands(cube: Raster, weights: BandWeights) -> Raster:
 
     Every output band is the per-pixel weighted average of the cube's bands
     using the normalized weights.  The cube's band count and wavelengths must
-    match the camera model the weights were fitted for (within 0.01 nm).
+    match the camera model the weights were fitted for (within 0.01 nm; a
+    band without a wavelength matches nothing).
     The sum runs over row slabs whose float64 copy stays within
     `_SLAB_BUDGET` elements, so no whole-cube float64 copy is made.
     """
     K = weights.camera.n_bands
     if cube.n_bands != K:
         raise SchemaError(f"cube has {cube.n_bands} bands, camera model has {K}")
-    if cube.wavelengths is None:
-        raise SchemaError("cube lacks wavelength metadata")
-    if np.max(np.abs(cube.wavelengths - weights.camera.centers)) > 0.01:
-        raise SchemaError("cube wavelengths do not match the camera band centers")
+    if not (np.abs(cube.wavelengths - weights.camera.centers) <= 0.01).all():
+        raise SchemaError("cube wavelengths are missing or do not match the camera band centers")
 
     _, H, W = cube.values.shape
     vals = np.empty((weights.weights.shape[0], H, W), dtype=np.float32)

@@ -272,9 +272,4 @@ def assemble_pairs(manifest: dict, split: str, variant: str = "stacked"):
             for s in manifest["scenes"]
             if s["split"] == split
         ]
-    pairs = []
-    for truth_path, input_paths in chosen:
-        truth = read_bsf(truth_path)
-        inputs = [read_bsf(p) for p in input_paths]
-        pairs.append((stack_bands(*inputs) if len(inputs) > 1 else inputs[0], truth))
-    return pairs
+    return [(stack_bands(*map(read_bsf, inputs)), read_bsf(truth)) for truth, inputs in chosen]

@@ -136,17 +136,21 @@ def _batch_arrays(data, entries, side):
     return xb, tb, mb[None, :, :, :]
 
 
-def _pooled_loss(model, data, pool, side, batch_size, ws):
-    """Masked-MSE over a whole patch pool (forward only)."""
-    sq = 0.0
-    n = 0.0
-    for s in range(0, len(pool), batch_size):
-        xb, tb, mb = _batch_arrays(data, pool[s : s + batch_size], side)
-        pred, _ = _forward_batch(model, xb, ws=ws)
-        _, sq_batch, n_batch = _masked_error(pred, tb, mb)
+def _pool_pass(model, data, entries, side, batch_size, ws, adam: _Adam | None = None) -> float:
+    """Masked MSE of the model over the patches `entries`, batch by batch; with
+    `adam`, each batch then takes one Adam step on its own gradient.  Every
+    pool patch has a valid pixel, so no batch is empty."""
+    sq = n = 0.0
+    for s in range(0, len(entries), batch_size):
+        xb, tb, mb = _batch_arrays(data, entries[s : s + batch_size], side)
+        pred, cache = _forward_batch(model, xb, keep_cache=adam is not None, ws=ws)
+        d, sq_batch, n_batch = _masked_error(pred, tb, mb)
         sq += sq_batch
         n += n_batch
-    return sq / n if n else 0.0
+        if adam is not None:
+            grads, _ = _backward_batch(model, cache, 2.0 * d / n_batch, input_grad=False, ws=ws)
+            adam.step(model.weights, grads)
+    return sq / n
 
 
 def train(
@@ -197,23 +201,9 @@ def train(
 
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
-        order = rng.permutation(len(train_pool))
-        sq = 0.0
-        n = 0.0
-        for s in range(0, len(order), cfg.batch_size):
-            entries = [train_pool[i] for i in order[s : s + cfg.batch_size]]
-            xb, tb, mb = _batch_arrays(data, entries, side)
-            pred, cache = _forward_batch(model, xb, keep_cache=True, ws=ws)
-            d, sq_batch, n_batch = _masked_error(pred, tb, mb)
-            sq += sq_batch
-            n += n_batch
-            if n_batch == 0:
-                continue
-            grad_out = 2.0 * d / n_batch
-            grads, _ = _backward_batch(model, cache, grad_out, input_grad=False, ws=ws)
-            adam.step(model.weights, grads)
-        train_loss = sq / n if n else 0.0
-        val_loss = _pooled_loss(model, vdata, val_pool, side, cfg.batch_size, ws)
+        shuffled = [train_pool[i] for i in rng.permutation(len(train_pool))]
+        train_loss = _pool_pass(model, data, shuffled, side, cfg.batch_size, ws, adam)
+        val_loss = _pool_pass(model, vdata, val_pool, side, cfg.batch_size, ws)
         loss_log.append((epoch, train_loss, val_loss))
         wall = time.perf_counter() - t0
         log.info(

@@ -88,6 +88,32 @@ def test_pinned_file_bytes(tmp_path):
     ]
 
 
+def _two_band_file(path, wavelength_text):
+    """A 1x1 two-band file whose first band's wavelength_nm is `wavelength_text`
+    (raw JSON), or absent when None; the second band has none."""
+    first = '{"name":"b0"}' if wavelength_text is None else (
+        '{"name":"b0","wavelength_nm":%s}' % wavelength_text)
+    header = ('{"bands":[%s,{"name":"b1"}],"dtype":"f32","geotransform":[0,1,0,1,0,-1],'
+              '"height":1,"nodata_mask":false,"width":1}' % first).encode()
+    path.write_bytes(b"BSF1" + np.uint32(len(header)).tobytes() + header + bytes(8))
+
+
+class TestWavelengths:
+    @pytest.mark.parametrize("text", [None, "NaN"])
+    def test_absent_or_nan_is_no_wavelength(self, tmp_path, text):
+        _two_band_file(tmp_path / "a.bsf", text)
+        r = read_bsf(tmp_path / "a.bsf")
+        assert np.isnan(r.wavelengths).all() and r.wavelengths.shape == (2,)
+        write_bsf(r, tmp_path / "b.bsf")
+        assert b"wavelength_nm" not in (tmp_path / "b.bsf").read_bytes()
+
+    @pytest.mark.parametrize("text", ["Infinity", "-Infinity", "1e999"])
+    def test_infinite_wavelength_refused(self, tmp_path, text):
+        _two_band_file(tmp_path / "a.bsf", text)
+        with pytest.raises(FormatError, match="a.bsf: wavelength_nm must be a finite number"):
+            read_bsf(tmp_path / "a.bsf")
+
+
 class TestErrors:
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.bsf"

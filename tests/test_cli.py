@@ -550,6 +550,18 @@ CONTRACT_CASES = {
     "bsf-wavelength-true": (
         {"g.bsf": _bsf(bands=[{"name": "b0", "wavelength_nm": True}, {"name": "b1"}])},
         _EVALUATE_G),
+    # a wavelength is finite or absent, and a band without one matches no camera centre
+    "bsf-wavelength-inf": (
+        {"g.bsf": _bsf(bands=[{"name": "b0", "wavelength_nm": float("inf")}, {"name": "b1"}])},
+        _EVALUATE_G),
+    "simulate-cube-missing-wavelength": (
+        {"cube.bsf": _bsf(bands=[{"name": "b0", "wavelength_nm": 500.0}, {"name": "b1"}]),
+         "w.json": _weights()}, _SIMULATE_W),
+    "pipeline-infer-no-inputs": (
+        {"m.ckpt": _checkpoint({"arch": _TINY_ARCH, "payload_bytes": 576}) + bytes(576),
+         "p.json": _pipeline({"stage": "infer", "checkpoint": "m.ckpt", "inputs": [],
+                              "out": "o.bsf"})},
+        ["pipeline", "--config", "p.json"]),
 }
 
 

@@ -44,6 +44,12 @@ class TestRaster:
         with pytest.raises(ValidationError):
             Raster(g, np.zeros((1, 2, 2), dtype=np.float32), ["b0", "b1"])
 
+    def test_wavelengths_default_to_nan(self):
+        r = random_raster(0, 3, 3, 4)
+        assert r.wavelengths.dtype == np.float64
+        assert r.wavelengths.shape == (4,)
+        assert np.isnan(r.wavelengths).all()
+
     def test_band_lookup(self):
         r = random_raster(0, 3, 3, 2, band_names=["red", "nir"])
         assert np.array_equal(r.band("nir"), r.values[1])
@@ -238,6 +244,35 @@ class TestStackBands:
         b = random_raster(2, 4, 4, 1, pixel=0.25)
         with pytest.raises(AlignmentError):
             stack_bands(a, b)
+
+    def test_three_rasters_equal_nested_pairs(self):
+        a = random_raster(1, 6, 5, 2, mask_fraction=0.2, wavelengths=np.array([490.0, np.nan]))
+        b = random_raster(2, 6, 5, 1, mask_fraction=0.2, band_names=["nir"])
+        c = random_raster(3, 6, 5, 3, mask_fraction=0.2, band_names=["r", "g", "b"],
+                          wavelengths=np.array([665.0, 560.0, np.nan]))
+        flat, nested = stack_bands(a, b, c), stack_bands(stack_bands(a, b), c)
+        assert np.array_equal(flat.values, nested.values)
+        assert flat.band_names == nested.band_names == ["b0", "b1", "nir", "r", "g", "b"]
+        assert np.array_equal(flat.mask, nested.mask)
+        assert np.array_equal(flat.mask, a.mask & b.mask & c.mask)
+        assert np.isnan(flat.wavelengths).tolist() == [False, True, True, False, False, True]
+        assert np.array_equal(flat.wavelengths, nested.wavelengths, equal_nan=True)
+
+    def test_one_raster_is_a_copy(self):
+        a = random_raster(1, 4, 4, 2, mask_fraction=0.2)
+        out = stack_bands(a)
+        assert np.array_equal(out.values, a.values) and np.array_equal(out.mask, a.mask)
+        assert not np.shares_memory(out.values, a.values)
+
+    def test_no_rasters_rejected(self):
+        with pytest.raises(ValidationError):
+            stack_bands()
+
+    def test_third_grid_mismatch(self):
+        a, b = random_raster(1, 4, 4, 1), random_raster(2, 4, 4, 1)
+        c = random_raster(3, 4, 4, 1, pixel=0.25)
+        with pytest.raises(AlignmentError):
+            stack_bands(a, b, c)
 
 
 class TestTranslatePixels:
