@@ -14,6 +14,7 @@ resampled or modified.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -63,6 +64,8 @@ class ShiftEstimate:
 
 
 def _int_ratio(a: float, b: float, what: str) -> int:
+    if not 0 < b < math.inf:
+        raise GeometryError(f"{what}: {b} is not a positive, finite pixel size")
     ratio = a / b
     r = round(ratio)
     if r < 1 or abs(ratio - r) > 1e-6 * max(1.0, abs(ratio)):

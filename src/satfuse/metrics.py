@@ -7,11 +7,12 @@ comparison reports the 240 dB cap with a flag instead of infinity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import AlignmentError, CoverageError
+from .errors import AlignmentError, CoverageError, ValidationError
 from .raster import Raster
 
 __all__ = ["MetricsReport", "evaluate", "psnr_from_rmse", "PSNR_CAP", "PSNR_PEAK"]
@@ -22,7 +23,12 @@ _RMSE_FLOOR = 1e-12
 
 
 def psnr_from_rmse(rmse: float) -> tuple[float, bool]:
-    """PSNR in dB for a given RMSE on the reflectance scale; (value, capped)."""
+    """PSNR in dB for a given RMSE on the reflectance scale; (value, capped).
+
+    A negative, NaN or infinite RMSE is refused with a ValidationError.
+    """
+    if not 0 <= rmse < math.inf:
+        raise ValidationError(f"rmse must be a finite, non-negative number, got {rmse}")
     if rmse < _RMSE_FLOOR:
         return PSNR_CAP, True
     return 20.0 * np.log10(PSNR_PEAK / rmse), False

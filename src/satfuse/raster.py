@@ -160,6 +160,10 @@ class Raster:
             raise KeyError(f"no band named {name!r}") from None
 
     def select_bands(self, names: list[str], rename: list[str] | None = None) -> "Raster":
+        missing = [n for n in names if n not in self.band_names]
+        if missing:
+            raise ValidationError(f"no band named {', '.join(map(repr, missing))}; "
+                                  f"the raster has {self.band_names}")
         idx = [self.band_names.index(n) for n in names]
         names = names if rename is None else rename
         return replace(self, values=self.values[idx], band_names=names,

@@ -200,17 +200,48 @@ def _im2col(xp: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
+# OpenBLAS rounds a GEMM with some inner lengths (891, 243, 1352 and 1360 were
+# measured) differently when it splits the GEMM over another number of threads,
+# while every multiple of 32 measured gave one result at 1 to 4 threads.  So
+# each conv GEMM pads its inner axis with zeros up to a multiple of this.
+_GEMM_ALIGN = 32
+
+
+def _conv_gemm(wmat: np.ndarray, xp: np.ndarray, k: int, out: np.ndarray, ws: dict | None,
+               cols_key) -> np.ndarray:
+    """`out` (R, B, H, W) = `wmat` (R, C*k*k) times the im2col of `xp`.
+
+    xp: (C, B, H + k - 1, W + k - 1).  The GEMM's inner axis C*k*k is
+    zero-padded to a multiple of `_GEMM_ALIGN` in both operands.  Returns the
+    padded column matrix, (C*k*k rounded up, B*H*W), from the workspace array
+    under `cols_key`; its pad rows are zeroed on every call, because another
+    shape takes another view of the same array.
+    """
+    C = xp.shape[0]
+    R, B, H, W = out.shape
+    K = C * k * k
+    Kp = -(-K // _GEMM_ALIGN) * _GEMM_ALIGN
+    cols = _scratch(ws, cols_key, (Kp, B * H * W))
+    _im2col(xp, k, cols[:K].reshape(C, k * k, B, H, W))
+    cols[K:] = 0.0
+    wpad = _scratch(ws, "wpad", (R, Kp))
+    wpad[:, :K] = wmat
+    wpad[:, K:] = 0.0
+    np.matmul(wpad, cols, out=out.reshape(R, B * H * W))
+    return cols
+
+
 def _conv2d(x: np.ndarray, w: np.ndarray, keep_cols: bool = False, ws: dict | None = None,
             key=None):
     """Same-size convolution with replicate-edge padding.
 
     x: (C_in, B, H, W), w: (C_out, C_in, k, k) -> (C_out, B, H, W).
     Large inputs are processed in row slabs to bound im2col memory; with
-    `keep_cols` the column tensor is returned for gradient reuse (training
-    patches are small, so no slabbing happens on that path).  Arrays come
-    from the workspace `ws` under keys starting with `key`, except that
-    columns not kept share one array across layers; the result is one of
-    them.
+    `keep_cols` the padded column matrix of :func:`_conv_gemm` is returned for
+    gradient reuse (training patches are small, so no slabbing happens on that
+    path).  Arrays come from the workspace `ws` under keys starting with `key`,
+    except that columns not kept share one array across layers; the result is
+    one of them.
     """
     c_in, B, H, W = x.shape
     c_out, _, k, _ = w.shape
@@ -220,17 +251,14 @@ def _conv2d(x: np.ndarray, w: np.ndarray, keep_cols: bool = False, ws: dict | No
     out = _scratch(ws, (key, "z"), (c_out, B, H, W))
     cols_key = (key, "cols") if keep_cols else "cols"
     if keep_cols or c_in * k * k * B * H * W <= _COL_BUDGET:
-        cols = _im2col(xp, k, _scratch(ws, cols_key, (c_in, k * k, B, H, W)))
-        np.matmul(wmat, cols.reshape(c_in * k * k, B * H * W), out=out.reshape(c_out, B * H * W))
+        cols = _conv_gemm(wmat, xp, k, out, ws, cols_key)
         return (out, cols) if keep_cols else (out, None)
     rows_per = max(1, _COL_BUDGET // max(1, c_in * k * k * B * W))
     for r0 in range(0, H, rows_per):
         r1 = min(H, r0 + rows_per)
-        cols = _im2col(xp[:, :, r0 : r1 + 2 * p, :], k,
-                       _scratch(ws, cols_key, (c_in, k * k, B, r1 - r0, W)))
-        out[:, :, r0:r1, :] = (
-            wmat @ cols.reshape(c_in * k * k, B * (r1 - r0) * W)
-        ).reshape(c_out, B, r1 - r0, W)
+        slab = _scratch(ws, (key, "slab"), (c_out, B, r1 - r0, W))
+        _conv_gemm(wmat, xp[:, :, r0 : r1 + 2 * p, :], k, slab, ws, cols_key)
+        out[:, :, r0:r1, :] = slab
     return out, None
 
 
@@ -254,31 +282,32 @@ def _conv2d_backward(
     cols: np.ndarray, w: np.ndarray, gout: np.ndarray, input_grad: bool = True,
     ws: dict | None = None, key=None,
 ) -> tuple[np.ndarray | None, np.ndarray]:
-    """Gradients of :func:`_conv2d` given the forward column tensor.
+    """Gradients of :func:`_conv2d` given its padded column matrix `cols`.
 
-    cols: (C_in, k*k, B, H, W), gout: (C_out, B, H, W).
-    Returns (grad_input (C_in, B, H, W), grad_weights); grad_input is None
-    unless `input_grad`, and otherwise a view into an array of `ws`.
+    gout: (C_out, B, H, W).  The weight gradient is one GEMM with `cols`.
+    The input gradient is the transposed convolution, computed as a direct
+    convolution (Dumoulin & Visin, arXiv:1603.07285, section 4): `gout`
+    zero-padded by k - 1 on each side, convolved with the weights flipped in
+    both spatial axes and with the channel axes swapped, gives the gradient of
+    the replicate-padded input, which the padding's adjoint folds onto the
+    interior.  Returns (grad_input (C_in, B, H, W), grad_weights); grad_input
+    is None unless `input_grad`, and otherwise a view into an array of `ws`.
     """
-    c_out, B, H, W = gout.shape
-    c_in, kk = cols.shape[0], cols.shape[1]
-    k = int(round(np.sqrt(kk)))
+    c_out, c_in, k, _ = w.shape
+    _, B, H, W = gout.shape
     p = k // 2
-    N = B * H * W
-    gmat = gout.reshape(c_out, N)
+    gmat = gout.reshape(c_out, B * H * W)
 
-    gw = (gmat @ cols.reshape(c_in * kk, N).T).reshape(c_out, c_in, k, k)
+    gw = (gmat @ cols.T)[:, : c_in * k * k].reshape(w.shape)
     if not input_grad:
         return None, gw
 
-    # scatter the column gradients back onto the padded image (col2im)
-    gcols = _scratch(ws, (key, "gcols"), (c_in, kk, B, H, W))
-    np.matmul(w.reshape(c_out, -1).T, gmat, out=gcols.reshape(c_in * kk, N))
+    gz = _scratch(ws, "gout_pad", (c_out, B, H + 4 * p, W + 4 * p))
+    gz.fill(0.0)
+    gz[:, :, 2 * p : 2 * p + H, 2 * p : 2 * p + W] = gout
+    w_t = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c_in, c_out * k * k)
     gxp = _scratch(ws, (key, "gpad"), (c_in, B, H + 2 * p, W + 2 * p))
-    gxp.fill(0.0)
-    for a in range(k):
-        for b in range(k):
-            gxp[:, :, a : a + H, b : b + W] += gcols[:, a * k + b]
+    _conv_gemm(w_t, gz, k, gxp, ws, "cols")
     return _fold_replicate_padding(gxp, p), gw
 
 
@@ -365,7 +394,10 @@ def backward(model: SrcnnModel, x: np.ndarray, grad_out: np.ndarray):
     """Exact gradients of the forward graph.
 
     Returns ``(weight_grads, input_grad)`` for one image; ``grad_out`` is the
-    loss gradient w.r.t. the network output.
+    loss gradient w.r.t. the network output.  Training never needs the input
+    gradient of layer 0; here it is computed as a direct convolution whose
+    column matrix has C_out*k*k rows for layer 0's kernel k and filter count
+    C_out (5184 for a 9x9 kernel and 64 filters).
     """
     x = np.asarray(x, dtype=np.float64)
     grad_out = np.asarray(grad_out, dtype=np.float64)

@@ -4,10 +4,11 @@ Adam on masked mean squared error.  Patches are sampled on coarse-pixel
 boundaries (positions are multiples of the fine/coarse scale factor) and
 patches whose pixels are all masked are rejected at sampling time.  Shuffling
 comes from one seeded generator and the gradient reduction order is fixed, so
-a fixed seed gives bit-identical runs for one BLAS build and thread count.
-The GEMMs round differently when OpenBLAS splits them over another number of
-threads, so the same seed can end in other last bits of losses and weights on
-another machine; the pinned training test sets ``OPENBLAS_NUM_THREADS=1``.
+a fixed seed gives bit-identical runs for one BLAS build.  The conv GEMMs pad
+their inner axes to multiples of 32, the lengths at which the bundled
+OpenBLAS gives the same bits whether it runs on 1, 2 or 4 threads; the pinned
+training test checks those three.  Another BLAS library or kernel (MKL,
+AVX-512) can end in other last bits of losses and weights.
 """
 
 from __future__ import annotations

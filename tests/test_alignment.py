@@ -79,6 +79,12 @@ class TestSnapToGrid:
         with pytest.raises(GeometryError):
             snap_to_grid(fine, self.coarse_grid(), 0.3)
 
+    @pytest.mark.parametrize("target", [0.0, -0.0, float("nan"), float("inf")])
+    def test_non_positive_or_non_finite_target_pixel(self, target):
+        fine = random_raster(0, 16, 16, 1)
+        with pytest.raises(GeometryError, match="positive, finite pixel size"):
+            snap_to_grid(fine, self.coarse_grid(), target)
+
     def test_empty_coverage(self):
         fine = random_raster(0, 16, 16, 1)  # 2 m footprint
         with pytest.raises(CoverageError):

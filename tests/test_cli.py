@@ -557,6 +557,9 @@ CONTRACT_CASES = {
     "simulate-cube-missing-wavelength": (
         {"cube.bsf": _bsf(bands=[{"name": "b0", "wavelength_nm": 500.0}, {"name": "b1"}]),
          "w.json": _weights()}, _SIMULATE_W),
+    "align-target-pixel-zero": (
+        {}, ["align", "--fine", "r.bsf", "--coarse", "r.bsf", "--target-pixel", "0",
+             "--out-raster", "o.bsf"]),
     "pipeline-infer-no-inputs": (
         {"m.ckpt": _checkpoint({"arch": _TINY_ARCH, "payload_bytes": 576}) + bytes(576),
          "p.json": _pipeline({"stage": "infer", "checkpoint": "m.ckpt", "inputs": [],

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from satfuse.errors import AlignmentError, CoverageError
+from satfuse.errors import AlignmentError, CoverageError, ValidationError
 from satfuse.metrics import PSNR_CAP, evaluate, psnr_from_rmse
 from satfuse.raster import Raster
 
@@ -51,6 +51,11 @@ class TestPsnrConvention:
     def test_cap(self):
         psnr, capped = psnr_from_rmse(0.0)
         assert capped and psnr == PSNR_CAP
+
+    @pytest.mark.parametrize("rmse", [-1.0, -1e-13, float("nan"), float("inf")])
+    def test_negative_or_non_finite_rmse_rejected(self, rmse):
+        with pytest.raises(ValidationError):
+            psnr_from_rmse(rmse)
 
 
 class TestEvaluate:

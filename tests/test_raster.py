@@ -56,6 +56,11 @@ class TestRaster:
         with pytest.raises(KeyError):
             r.band("blue")
 
+    def test_select_missing_band_names_it(self):
+        r = random_raster(0, 3, 3, 2, band_names=["red", "nir"])
+        with pytest.raises(ValidationError, match="'zz'"):
+            r.select_bands(["nir", "zz"])
+
 
 # every operation that derives a raster from one source raster
 DERIVE = {

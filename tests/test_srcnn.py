@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from satfuse import srcnn
 from satfuse.errors import ConfigError, CorruptionError, SatfuseError, ShapeError
 from satfuse.raster import Raster
 from satfuse.srcnn import (
@@ -47,6 +48,39 @@ def naive_forward(model, x):
             out = np.where(out > 0, out, slope * out)
         a = out
     return a
+
+
+def scatter_conv2d_backward(cols, w, gout, input_grad=True, ws=None, key=None):
+    """Column-scatter (col2im) oracle for `srcnn._conv2d_backward`.
+
+    The input gradient is the GEMM of the transposed weights with `gout`,
+    whose k*k column blocks are added back onto the padded image one window
+    offset at a time.  `cols` is the forward's padded column matrix; only its
+    first C_in*k*k rows are read.
+    """
+    c_out, c_in, k, _ = w.shape
+    _, B, H, W = gout.shape
+    p = k // 2
+    kk = k * k
+    N = B * H * W
+    gmat = gout.reshape(c_out, N)
+    gw = (gmat @ cols[: c_in * kk].T).reshape(c_out, c_in, k, k)
+    if not input_grad:
+        return None, gw
+    gcols = (w.reshape(c_out, -1).T @ gmat).reshape(c_in, kk, B, H, W)
+    gxp = np.zeros((c_in, B, H + 2 * p, W + 2 * p))
+    for a in range(k):
+        for b in range(k):
+            gxp[:, :, a : a + H, b : b + W] += gcols[:, a * k + b]
+    return srcnn._fold_replicate_padding(gxp, p), gw
+
+
+def assert_matches_oracle(got, want):
+    """Each array within rtol 1e-12 of its oracle array.  Sums that cancel to
+    near zero keep the rounding of their terms, so the absolute tolerance is
+    1e-12 of the array's largest magnitude."""
+    for g, o in zip(got, want):
+        np.testing.assert_allclose(g, o, rtol=1e-12, atol=1e-12 * np.max(np.abs(o)))
 
 
 class TestArchConfig:
@@ -164,11 +198,14 @@ class TestBackward:
 
     def test_workspace_reuse_matches_fresh_arrays(self):
         # batch passes through one workspace, with shapes repeating and
-        # changing, give the arrays a workspace-free pass gives
+        # changing, give the arrays a workspace-free pass gives, even when
+        # every workspace array holds NaN before the pass
         m = build_model(ArchConfig(3, 2, ((5, 6), (3, 4), (3, 2))), seed=4)
         rng = np.random.default_rng(4)
         ws = {}
         for B, H in ((4, 9), (4, 9), (1, 9), (4, 11), (4, 9)):
+            for buf in ws.values():
+                buf.fill(np.nan)
             x = rng.uniform(size=(3, B, H, H))
             g = rng.standard_normal((2, B, H, H))
             y_ref, cache_ref = _forward_batch(m, x, keep_cache=True)
@@ -183,8 +220,42 @@ class TestBackward:
             assert np.array_equal(gin, gin_ref)
             assert np.array_equal(_forward_batch(m, x, ws=ws)[0], y_ref)
 
-    @pytest.mark.parametrize("trial", range(20))
-    def test_gradient_matches_central_differences(self, trial):
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_matches_scatter_oracle_all_presets(self, name, monkeypatch):
+        # k = 9 and 13 in layer 0, whose input gradient only backward() asks for
+        arch = PRESETS[name]
+        m = build_model(arch, seed=5)
+        rng = np.random.default_rng(5)
+        x = rng.uniform(size=(arch.in_channels, 14, 19))
+        g = rng.standard_normal((arch.out_channels, 14, 19))
+        grads, gin = backward(m, x, g)
+        monkeypatch.setattr(srcnn, "_conv2d_backward", scatter_conv2d_backward)
+        want_grads, want_gin = backward(m, x, g)
+        assert_matches_oracle(grads + [gin], want_grads + [want_gin])
+
+    def test_batches_through_one_workspace_match_scatter_oracle(self, monkeypatch):
+        # batch 1, full batches of 4 and a short last batch, non-square patches
+        m = build_model(preset("spectral"), seed=6)
+        rng = np.random.default_rng(6)
+        ws = {}
+        got = []
+        for B in (1, 4, 4, 3):
+            x = rng.uniform(size=(11, B, 16, 12))
+            g = rng.standard_normal((8, B, 16, 12))
+            _, cache = _forward_batch(m, x, keep_cache=True, ws=ws)
+            grads, gin = _backward_batch(m, cache, g, ws=ws)
+            got.append((x, g, [a.copy() for a in grads + [gin]]))
+        monkeypatch.setattr(srcnn, "_conv2d_backward", scatter_conv2d_backward)
+        for x, g, arrays in got:
+            _, cache = _forward_batch(m, x, keep_cache=True)
+            grads, gin = _backward_batch(m, cache, g)
+            assert_matches_oracle(arrays, grads + [gin])
+
+    @staticmethod
+    def _random_net(trial):
+        """A random two-layer net (kernels 1, 3 or 5, H up to 7), its input,
+        the masked-MSE loss gradient at its output, and the loss as a
+        function of the current weights and input."""
         rng = np.random.default_rng(100 + trial)
         c_in = int(rng.integers(1, 4))
         c_mid = int(rng.integers(2, 5))
@@ -198,26 +269,41 @@ class TestBackward:
         mask = (rng.uniform(size=(H, W)) > 0.2).astype(np.float64)
         if not mask.any():
             mask[0, 0] = 1.0
+        grad_out = masked_mse_grad(forward(m, x), target, mask)
+        return m, x, grad_out, lambda: masked_mse(forward(m, x), target, mask), rng
 
-        pred = forward(m, x)
-        grads, _ = backward(m, x, masked_mse_grad(pred, target, mask))
-
-        eps = 1e-6
+    @staticmethod
+    def _worst_central_difference_gap(loss, arrays, grads, rng, eps=1e-6):
+        """Largest relative gap between `grads` and central differences of
+        `loss()` at up to 10 random entries of each of `arrays`, which are
+        perturbed in place and restored."""
         worst = 0.0
-        for li, w in enumerate(m.weights):
-            flat_grad = grads[li].ravel()
-            idxs = rng.choice(w.size, size=min(10, w.size), replace=False)
-            for fi in idxs:
-                orig = w.ravel()[fi]
-                w.ravel()[fi] = orig + eps
-                lp = masked_mse(forward(m, x), target, mask)
-                w.ravel()[fi] = orig - eps
-                lm = masked_mse(forward(m, x), target, mask)
-                w.ravel()[fi] = orig
+        for a, g in zip(arrays, grads):
+            flat, flat_grad = a.ravel(), g.ravel()
+            for fi in rng.choice(a.size, size=min(10, a.size), replace=False):
+                orig = flat[fi]
+                flat[fi] = orig + eps
+                lp = loss()
+                flat[fi] = orig - eps
+                lm = loss()
+                flat[fi] = orig
                 fd = (lp - lm) / (2 * eps)
                 scale = max(abs(fd), abs(flat_grad[fi]), 1e-8)
                 worst = max(worst, abs(fd - flat_grad[fi]) / scale)
-        assert worst < 1e-5
+        return worst
+
+    @pytest.mark.parametrize("trial", range(20))
+    def test_gradient_matches_central_differences(self, trial):
+        m, x, grad_out, loss, rng = self._random_net(trial)
+        grads, _ = backward(m, x, grad_out)
+        assert self._worst_central_difference_gap(loss, m.weights, grads, rng) < 1e-5
+
+    @pytest.mark.parametrize("trial", range(20))
+    def test_input_gradient_matches_central_differences(self, trial):
+        m, x, grad_out, loss, rng = self._random_net(trial)
+        _, gin = backward(m, x, grad_out)
+        assert gin.shape == x.shape
+        assert self._worst_central_difference_gap(loss, [x], [gin], rng) < 1e-5
 
 
 class TestInferTiled:

@@ -126,8 +126,8 @@ class TestTrain:
 
 # Trains preset "spectral" on a 3-scene dataset of 48x48 pixels: 9 training
 # and 9 validation patches in batches of 4, 4 and 1, so the short last batch
-# is exercised too.  Run in a child process with one BLAS thread, since
-# OpenBLAS orders its sums differently with more threads.
+# is exercised too.  Run in child processes, since the BLAS thread count is
+# fixed when NumPy loads.
 _PINNED_RUN = """
 import hashlib, json, sys
 import numpy as np
@@ -151,26 +151,34 @@ print(json.dumps({
 
 
 def test_fixed_seed_training_output_is_pinned(tmp_path):
-    """Loss log, float64 weights and checkpoint bytes of one fixed-seed run.
+    """Loss log, float64 weights and checkpoint bytes of one fixed-seed run,
+    the same at 1, 2 and 4 BLAS threads.
 
-    The constants were recorded before the conv-net workspaces, so a change
-    to the training arithmetic shows here.  They hold for the OpenBLAS that
-    NumPy's x86-64 wheels bundle; another BLAS library needs them recorded
-    anew from the unchanged code.
+    The constants were recorded when the input gradient became a direct
+    convolution and the GEMM inner axes were padded to multiples of 32, so a
+    change to the training arithmetic shows here.  They hold for the OpenBLAS
+    that NumPy's x86-64 wheels bundle; another BLAS library needs them
+    recorded anew from the unchanged code.
     """
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     src = str(Path(satfuse.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _PINNED_RUN, str(tmp_path)], env=env,
-                          capture_output=True, text=True, check=True)
-    got = json.loads(proc.stdout)
+    runs = {}
+    for threads in ("1", "2", "4"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / threads
+        out.mkdir()
+        proc = subprocess.run([sys.executable, "-c", _PINNED_RUN, str(out)], env=env,
+                              capture_output=True, text=True, check=True)
+        runs[threads] = json.loads(proc.stdout)
+    got = runs["1"]
+    assert runs["2"] == got and runs["4"] == got
     assert got["loss_log"] == [
-        [0, "0.45772003020093127", "0.052158025355846314"],
-        [1, "0.09243574909709996", "0.050958831033166084"],
-        [2, "0.056207388655425676", "0.023638834548227253"],
+        [0, "0.45772003020093127", "0.05215802535584632"],
+        [1, "0.09243574909709998", "0.05095883103316609"],
+        [2, "0.05620738865542569", "0.02363883454822725"],
     ]
-    assert got["weights_sha256"] == "5ff75bf9d4d59fd147a5ef164ecec9f233603e40acf6879e1f5754ffd70ba235"
-    assert got["checkpoint_sha256"] == "b12415fe7c100030ec072ae9b2eb0328126071d94452979c99dee00003fcfeb1"
+    assert got["weights_sha256"] == "b665defe0b6c94e74958ecf17da1226979aa89b0ad90ca5f47f5ee420678a6ae"
+    assert got["checkpoint_sha256"] == "2a1b17a6e28298ff928bc488cd5bb5b08b3ed15582a5fea2ed3f38fb47962ff1"
 
 
 def test_one_log_event_per_epoch(caplog):
