@@ -74,6 +74,8 @@ def nnls(
         raise ValidationError("A must be a 2-D matrix with at least one column")
     if b.shape[0] != A.shape[0]:
         raise ValidationError(f"b length {b.shape[0]} does not match {A.shape[0]} rows")
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        raise ValidationError("A and b must hold finite numbers only")
     m, n = A.shape
     if max_iter is None:
         max_iter = 3 * n

@@ -24,6 +24,7 @@ names and wavelengths over through the same constructor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -58,6 +59,11 @@ class GeoGrid:
             object.__setattr__(self, name, int(getattr(self, name)))
         if not (self.pixel_w > 0 and self.pixel_h > 0):
             raise ValidationError("pixel sizes must be positive")
+        if not all(map(math.isfinite, (self.origin_x, self.origin_y, self.pixel_w, self.pixel_h))):
+            raise ValidationError(
+                f"grid origin ({self.origin_x}, {self.origin_y}) and pixel size "
+                f"{self.pixel_w} x {self.pixel_h} must be finite"
+            )
         if self.width < 1 or self.height < 1:
             raise ValidationError("grid must contain at least one pixel")
 
@@ -138,8 +144,9 @@ class Raster:
             self.mask = np.array(self.mask, dtype=bool)
             if self.mask.shape != (h, w):
                 raise ValidationError("mask shape must match grid")
-        if nb:
-            self.mask &= np.isfinite(self.values).all(axis=0)
+        finite = np.empty((h, w), dtype=bool)
+        for band in self.values:  # a band at a time: no cube-sized temporary
+            self.mask &= np.isfinite(band, out=finite)
         wl = self.wavelengths
         self.wavelengths = np.full(nb, np.nan) if wl is None else np.array(wl, dtype=np.float64)
         if self.wavelengths.shape != (nb,):

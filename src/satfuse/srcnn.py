@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .bsf import read_framed, write_framed
+from .bsf import read_block, read_framed, write_framed
 from .errors import ConfigError, CorruptionError, ShapeError, finite, integer, parse_errors
 from .raster import Raster
 
@@ -249,17 +249,28 @@ def _conv2d(x: np.ndarray, w: np.ndarray, keep_cols: bool = False, ws: dict | No
     xp = _pad_edge(x, p, _scratch(ws, (key, "pad"), (c_in, B, H + 2 * p, W + 2 * p)))
     wmat = w.reshape(c_out, c_in * k * k)
     out = _scratch(ws, (key, "z"), (c_out, B, H, W))
-    cols_key = (key, "cols") if keep_cols else "cols"
-    if keep_cols or c_in * k * k * B * H * W <= _COL_BUDGET:
-        cols = _conv_gemm(wmat, xp, k, out, ws, cols_key)
-        return (out, cols) if keep_cols else (out, None)
-    rows_per = max(1, _COL_BUDGET // max(1, c_in * k * k * B * W))
+    if keep_cols:
+        return out, _conv_gemm(wmat, xp, k, out, ws, (key, "cols"))
+    _conv_gemm_slabbed(wmat, xp, k, out, ws, key)
+    return out, None
+
+
+def _conv_gemm_slabbed(wmat: np.ndarray, xp: np.ndarray, k: int, out: np.ndarray,
+                       ws: dict | None, key) -> None:
+    """:func:`_conv_gemm` into `out`, in row slabs when its column matrix
+    would pass `_COL_BUDGET` elements.  The columns share the workspace array
+    "cols"; slabs use the one under (`key`, "slab")."""
+    C = xp.shape[0]
+    R, B, H, W = out.shape
+    if C * k * k * B * H * W <= _COL_BUDGET:
+        _conv_gemm(wmat, xp, k, out, ws, "cols")
+        return
+    rows_per = max(1, _COL_BUDGET // max(1, C * k * k * B * W))
     for r0 in range(0, H, rows_per):
         r1 = min(H, r0 + rows_per)
-        slab = _scratch(ws, (key, "slab"), (c_out, B, r1 - r0, W))
-        _conv_gemm(wmat, xp[:, :, r0 : r1 + 2 * p, :], k, slab, ws, cols_key)
+        slab = _scratch(ws, (key, "slab"), (R, B, r1 - r0, W))
+        _conv_gemm(wmat, xp[:, :, r0 : r1 + k - 1, :], k, slab, ws, "cols")
         out[:, :, r0:r1, :] = slab
-    return out, None
 
 
 def _fold_replicate_padding(g: np.ndarray, p: int) -> np.ndarray:
@@ -307,7 +318,7 @@ def _conv2d_backward(
     gz[:, :, 2 * p : 2 * p + H, 2 * p : 2 * p + W] = gout
     w_t = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c_in, c_out * k * k)
     gxp = _scratch(ws, (key, "gpad"), (c_in, B, H + 2 * p, W + 2 * p))
-    _conv_gemm(w_t, gz, k, gxp, ws, "cols")
+    _conv_gemm_slabbed(w_t, gz, k, gxp, ws, key)
     return _fold_replicate_padding(gxp, p), gw
 
 
@@ -363,13 +374,18 @@ def _forward_batch(model: SrcnnModel, x: np.ndarray, keep_cache: bool = False,
 
 def _backward_batch(model: SrcnnModel, cache, gout: np.ndarray, input_grad: bool = True,
                     ws: dict | None = None):
-    """Weight gradients of every layer, and the input gradient if `input_grad`."""
+    """Weight gradients of every layer, and the input gradient if `input_grad`.
+
+    Consumes `cache`: each layer's entry is dropped once its gradients are
+    taken, so without a workspace its column matrix is freed before the next
+    layer's gradient GEMMs run.
+    """
     slope = model.arch.slope
     n_layers = len(model.weights)
     grads = [None] * n_layers
     g = gout
     for li in range(n_layers - 1, -1, -1):
-        cols, positive = cache[li]
+        cols, positive = cache.pop()
         if positive is not None:
             # chain rule through LeakyReLU: g * (1 where z > 0, else slope)
             gz = np.multiply(g, slope, out=_scratch(ws, (li, "gact"), g.shape))
@@ -397,7 +413,8 @@ def backward(model: SrcnnModel, x: np.ndarray, grad_out: np.ndarray):
     loss gradient w.r.t. the network output.  Training never needs the input
     gradient of layer 0; here it is computed as a direct convolution whose
     column matrix has C_out*k*k rows for layer 0's kernel k and filter count
-    C_out (5184 for a 9x9 kernel and 64 filters).
+    C_out (5184 for a 9x9 kernel and 64 filters), in row slabs of at most
+    `_COL_BUDGET` elements, as the forward pass of a large image is.
     """
     x = np.asarray(x, dtype=np.float64)
     grad_out = np.asarray(grad_out, dtype=np.float64)
@@ -507,35 +524,33 @@ def infer_tiled(
 
 
 def save_checkpoint(model: SrcnnModel, path) -> None:
-    payload = b"".join(
-        np.ascontiguousarray(w, dtype="<f4").tobytes() for w in model.weights
-    )
+    params = [np.ascontiguousarray(w, dtype="<f4") for w in model.weights]
     header = {
         "arch": asdict(model.arch),
         "seed": model.seed,
         "train_meta": model.train_meta,
-        "payload_bytes": len(payload),
+        "payload_bytes": sum(p.nbytes for p in params),
     }
-    write_framed(path, b"", header, payload)
+    write_framed(path, b"", header, *params)
 
 
 def load_checkpoint(path) -> SrcnnModel:
-    header, data, body = read_framed(path, b"")
-    with parse_errors(f"{path}: checkpoint header"):
-        arch = ArchConfig.from_dict(header["arch"])
-        seed = integer(header.get("seed", 0))
-        train_meta = dict(header.get("train_meta", {}))
-    n_payload = len(data) - body
-    expected = arch.parameter_count() * 4
-    if header.get("payload_bytes") != n_payload or n_payload != expected:
-        raise CorruptionError(
-            f"parameter block length mismatch: header says {header.get('payload_bytes')}, "
-            f"architecture needs {expected}, file holds {n_payload}"
-        )
-    weights, pos = [], body
+    with read_framed(path, b"") as (header, fh, size):
+        with parse_errors(f"{path}: checkpoint header"):
+            arch = ArchConfig.from_dict(header["arch"])
+            seed = integer(header.get("seed", 0))
+            train_meta = dict(header.get("train_meta", {}))
+        n_payload = size - fh.tell()
+        expected = arch.parameter_count() * 4
+        if header.get("payload_bytes") != n_payload or n_payload != expected:
+            raise CorruptionError(
+                f"parameter block length mismatch: header says {header.get('payload_bytes')}, "
+                f"architecture needs {expected}, file holds {n_payload}"
+            )
+        params = read_block(fh, np.empty(arch.parameter_count(), "<f4"))
+    weights, pos = [], 0
     for shape in arch.weight_shapes:
         n = math.prod(shape)
-        weights.append(np.frombuffer(data, "<f4", n, pos).astype(np.float64).reshape(shape))
-        pos += 4 * n
+        weights.append(params[pos : pos + n].astype(np.float64).reshape(shape))
+        pos += n
     return SrcnnModel(arch, weights, seed, train_meta)
-

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from .bsf import read_bsf, write_bsf
-from .errors import GeometryError, ValidationError, parse_errors
+from .errors import GeometryError, ValidationError, finite, integer, parse_errors
 from .raster import (
     GeoGrid,
     Raster,
@@ -71,15 +71,32 @@ class SceneConfig:
     endmember_seed: int | None = None
 
     def __post_init__(self):
+        for name in ("width", "height", "scale", "n_bands", "n_endmembers"):
+            self._check(name, integer, lambda v: v >= 1, "an integer >= 1")
+        for name in ("smoothness", "noise_sigma"):
+            self._check(name, finite, lambda v: v >= 0, "a finite number >= 0")
+        for name in ("gain", "offset"):
+            self._check(name, finite, lambda v: True, "a finite number")
+        self._check("pixel_m", finite, lambda v: v > 0, "a finite number > 0")
+        if self.fwhm is not None:
+            self._check("fwhm", finite, lambda v: v > 0, "None or a finite number > 0")
         if self.width % self.scale or self.height % self.scale:
             raise ValidationError("width and height must be divisible by scale")
-        if self.n_endmembers < 1:
-            raise ValidationError("need at least one endmember")
-        if self.noise_sigma < 0:
-            raise ValidationError("noise_sigma must be nonnegative")
         if self.n_bands < 2:
             raise ValidationError("need at least 2 spectral bands")
         object.__setattr__(self, "shift", (int(self.shift[0]), int(self.shift[1])))
+
+    def _check(self, name: str, convert, ok, rule: str):
+        """Store field `name` as `convert` gives it; a ValidationError naming
+        the `rule` unless it converts and `ok` holds for the result."""
+        value = getattr(self, name)
+        try:
+            number = convert(value)
+        except (TypeError, ValueError):
+            number = None
+        if number is None or not ok(number):
+            raise ValidationError(f"{name} must be {rule}, got {value!r}")
+        object.__setattr__(self, name, number)
 
     def camera(self):
         return evenly_spaced_camera(self.n_bands, self.fwhm)
@@ -128,6 +145,16 @@ def gen_hyper_scene(cfg: SceneConfig, return_parts: bool = False):
     Per-pixel spectra are convex mixtures of the endmember spectra; values
     are clipped to [0, 1].  With `return_parts` the abundance maps and
     endmember spectra come back alongside the cube.
+
+    The cube is mixed one band at a time straight into its float32 array, so
+    no float64 cube exists: beyond the cube, the call's peak memory stays
+    under M + 3 float64 band planes for M endmembers (the abundance maps,
+    two mixing planes and the mask), whatever the band count.  Each band
+    sums its terms in float64 in the order
+    ``((E0*a0 + E1*a1) + ...) + E(M-1)*a(M-1)``, a multiply then an add, as
+    ``np.einsum("mk,mhw->khw", E, ab)`` does, then clips and rounds to
+    float32: the bytes equal that einsum's, clipped and cast.  (A BLAS
+    product fuses multiply and add and can differ in the last bit.)
     """
     camera = cfg.camera()
     em_seed = cfg.seed if cfg.endmember_seed is None else cfg.endmember_seed
@@ -135,8 +162,13 @@ def gen_hyper_scene(cfg: SceneConfig, return_parts: bool = False):
         np.random.default_rng([em_seed, 3]), cfg.n_endmembers, camera.centers
     )
     ab = _abundance_maps(np.random.default_rng([cfg.seed, 1]), cfg)
-    cube = np.einsum("mk,mhw->khw", E, ab)
-    np.clip(cube, 0.0, 1.0, out=cube)
+    cube = np.empty((cfg.n_bands, cfg.height, cfg.width), dtype=np.float32)
+    acc, term = np.empty((2, cfg.height, cfg.width))
+    for k in range(cfg.n_bands):
+        np.multiply(ab[0], E[0, k], out=acc)
+        for m in range(1, cfg.n_endmembers):
+            acc += np.multiply(ab[m], E[m, k], out=term)
+        np.clip(acc, 0.0, 1.0, out=cube[k])
     names = [f"hs{k:03d}" for k in range(cfg.n_bands)]
     raster = Raster(cfg.fine_grid(), cube, names, wavelengths=camera.centers)
     if return_parts:

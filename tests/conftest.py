@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,16 @@ def random_raster(seed, width, height, n_bands, pixel=0.125, mask_fraction=0.0,
     if band_names is None:
         band_names = [f"b{i}" for i in range(n_bands)]
     return Raster(make_grid(width, height, pixel), values, band_names, mask, wavelengths)
+
+
+def traced_peak(fn, *args):
+    """Peak bytes that tracemalloc traces while `fn(*args)` runs, and its result."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

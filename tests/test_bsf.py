@@ -3,11 +3,11 @@ import hashlib
 import numpy as np
 import pytest
 
-from satfuse.bsf import read_bsf, write_bsf
+from satfuse.bsf import read_block, read_bsf, write_bsf
 from satfuse.errors import CorruptionError, FormatError, SatfuseError, ValidationError
 from satfuse.raster import Raster
 
-from conftest import make_grid, random_raster
+from conftest import make_grid, random_raster, traced_peak
 
 
 def assert_rasters_identical(a, b):
@@ -136,6 +136,23 @@ class TestErrors:
         with pytest.raises(CorruptionError):
             read_bsf(tmp_path / "trunc.bsf")
 
+    def test_payload_shorter_than_header_says(self, tmp_path):
+        r = random_raster(4, 6, 5, 3, mask_fraction=0.3)
+        p = tmp_path / "t.bsf"
+        write_bsf(r, p)
+        data = p.read_bytes()
+        (tmp_path / "short.bsf").write_bytes(data[: -6 * 5 * 4])  # one band missing
+        with pytest.raises(CorruptionError, match=r"expected 360 bytes for 3 band\(s\) "
+                                                  r"of 6x5, found 240"):
+            read_bsf(tmp_path / "short.bsf")
+
+    def test_file_ending_inside_a_block_is_corruption(self, tmp_path):
+        # a file that shrinks after its size was checked: the read comes up short
+        p = tmp_path / "short.bin"
+        p.write_bytes(bytes(10))
+        with open(p, "rb") as fh, pytest.raises(CorruptionError, match="6 bytes short"):
+            read_block(fh, np.empty(4, "<f4"))
+
     def test_fuzzed_truncations_never_crash(self, tmp_path):
         r = random_raster(1, 9, 4, 2, mask_fraction=0.2)
         p = tmp_path / "full.bsf"
@@ -170,3 +187,36 @@ class TestErrors:
         r = random_raster(0, 2, 2, 1)
         with pytest.raises(OSError):
             write_bsf(r, tmp_path / "no_such_dir" / "x.bsf")
+
+
+class TestMemory:
+    """Each cube-sized block crosses memory once: a read allocates the raster
+    and a few mask-sized arrays, a write of a contiguous raster next to
+    nothing, a write of a cropped window one band at a time."""
+
+    NB, H, W = 48, 96, 80
+
+    def test_read_allocates_the_payload_and_little_more(self, tmp_path):
+        r = random_raster(7, self.W, self.H, self.NB, mask_fraction=0.2)
+        write_bsf(r, tmp_path / "c.bsf")
+        peak, back = traced_peak(read_bsf, tmp_path / "c.bsf")
+        assert_rasters_identical(back, r)
+        assert peak <= 1.05 * r.values.nbytes, peak / r.values.nbytes
+
+    def test_write_of_a_contiguous_raster_makes_no_copy(self, tmp_path):
+        r = random_raster(8, self.W, self.H, self.NB, mask_fraction=0.2)
+        peak, _ = traced_peak(write_bsf, r, tmp_path / "c.bsf")
+        assert peak < 0.05 * r.values.nbytes, peak / r.values.nbytes
+        assert_rasters_identical(read_bsf(tmp_path / "c.bsf"), r)
+
+    def test_write_of_a_window_copies_one_band_at_a_time(self, tmp_path):
+        whole = random_raster(9, self.W, self.H, self.NB, mask_fraction=0.2)
+        rows, cols = slice(3, 3 + 64), slice(5, 5 + 72)
+        window = Raster(make_grid(72, 64), whole.values[:, rows, cols], whole.band_names,
+                        whole.mask[rows, cols])
+        assert not window.values.flags.c_contiguous
+        peak, _ = traced_peak(write_bsf, window, tmp_path / "w.bsf")
+        band = window.values[0].size * 4
+        assert peak < 2 * band, peak / band
+        write_bsf(window.copy(), tmp_path / "copy.bsf")
+        assert (tmp_path / "w.bsf").read_bytes() == (tmp_path / "copy.bsf").read_bytes()

@@ -459,6 +459,9 @@ CONTRACT_CASES = {
     "shift-one-number": (
         {}, ["gen-synthetic", "--shift", "1", "--width", "16", "--height", "16",
              "--scenes", "3", "--out-dir", "d"]),
+    "gen-synthetic-width-zero": (
+        {}, ["gen-synthetic", "--width", "0", "--height", "16", "--scenes", "3",
+             "--out-dir", "d"]),
     "pipeline-stages-not-a-list": (
         {"p.json": json.dumps({"version": 1, "stages": 5})}, ["pipeline", "--config", "p.json"]),
     "pipeline-typo-key": (
@@ -586,6 +589,7 @@ def test_malformed_input_exits_with_error(case, tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert any(line.startswith("error: ") for line in err.splitlines()), err
     assert "Traceback" not in err
+    assert "Warning" not in err, err
 
 
 @pytest.mark.parametrize("name", sorted(STAGES))

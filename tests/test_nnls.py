@@ -86,6 +86,18 @@ class TestNnlsBasics:
         with pytest.raises(ValidationError):
             nnls(np.zeros((3, 2)), np.zeros(4))
 
+    @pytest.mark.parametrize("where", ["A", "b"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_refused_at_entry(self, where, bad, capfd):
+        # a NaN in A used to reach LAPACK, which printed a DLASCL line on
+        # stderr and raised LinAlgError; an infinite b raised a bare ValueError
+        A = np.eye(3)
+        b = np.ones(3)
+        (A if where == "A" else b)[1] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            nnls(A, b)
+        assert capfd.readouterr().err == ""
+
     def test_iteration_budget_carries_best_iterate(self):
         rng = np.random.default_rng(4)
         A = rng.standard_normal((30, 10))

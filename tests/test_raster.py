@@ -23,6 +23,15 @@ class TestGeoGrid:
         with pytest.raises(ValidationError):
             GeoGrid(0, 0, 1.0, 1.0, 0, 4)
 
+    @pytest.mark.parametrize("field, bad", [(0, np.nan), (0, np.inf), (1, -np.inf),
+                                            (1, np.nan), (2, np.inf), (3, np.inf)])
+    def test_non_finite_origin_or_infinite_pixel_size_refused(self, field, bad):
+        # snap_to_grid on such a grid used to end in OverflowError or ValueError
+        args = [0.0, 20.0, 10.0, 10.0]
+        args[field] = bad
+        with pytest.raises(ValidationError, match="must be finite"):
+            GeoGrid(*args, 2, 2)
+
     def test_pixel_center(self):
         g = GeoGrid(100.0, 200.0, 10.0, 10.0, 4, 4)
         assert g.pixel_center(0, 0) == (105.0, 195.0)

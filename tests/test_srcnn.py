@@ -21,7 +21,7 @@ from satfuse.srcnn import (
     save_checkpoint,
 )
 
-from conftest import make_grid
+from conftest import make_grid, traced_peak
 
 
 def naive_forward(model, x):
@@ -232,6 +232,40 @@ class TestBackward:
         monkeypatch.setattr(srcnn, "_conv2d_backward", scatter_conv2d_backward)
         want_grads, want_gin = backward(m, x, g)
         assert_matches_oracle(grads + [gin], want_grads + [want_gin])
+
+    def test_slabbed_input_gradient_matches_scatter_oracle(self, monkeypatch):
+        # a budget that splits layer 0's input-gradient GEMM (5184 inner rows,
+        # 30 padded columns per row) into slabs of 3 rows and leaves the
+        # other layers' GEMMs whole
+        m = build_model(preset("spectral"), seed=7)
+        rng = np.random.default_rng(7)
+        x = rng.uniform(size=(11, 13, 22))
+        g = rng.standard_normal((8, 13, 22))
+        gemm_rows = []
+        conv_gemm = srcnn._conv_gemm
+
+        def counting_gemm(wmat, xp, k, out, ws, cols_key):
+            gemm_rows.append(out.shape[2])
+            return conv_gemm(wmat, xp, k, out, ws, cols_key)
+
+        monkeypatch.setattr(srcnn, "_conv_gemm", counting_gemm)
+        monkeypatch.setattr(srcnn, "_COL_BUDGET", 5184 * 30 * 3)
+        grads, gin = backward(m, x, g)
+        assert gemm_rows[-7:] == [3, 3, 3, 3, 3, 3, 3]  # layer 0: 21 padded rows
+        monkeypatch.setattr(srcnn, "_conv2d_backward", scatter_conv2d_backward)
+        want_grads, want_gin = backward(m, x, g)
+        assert_matches_oracle(grads + [gin], want_grads + [want_gin])
+
+    def test_backward_of_a_64x64_image_stays_under_the_budget(self):
+        # the layer-0 input-gradient columns (215 MB) fit the budget whole, so
+        # this holds only because each layer's forward columns are freed once
+        # its gradients are taken; holding all of them takes 331 MB
+        m = build_model(preset("spectral"), seed=8)
+        rng = np.random.default_rng(8)
+        x = rng.uniform(size=(11, 64, 64))
+        g = rng.standard_normal((8, 64, 64))
+        peak, _ = traced_peak(backward, m, x, g)
+        assert peak < srcnn._COL_BUDGET * 8, peak / 1e6
 
     def test_batches_through_one_workspace_match_scatter_oracle(self, monkeypatch):
         # batch 1, full batches of 4 and a short last batch, non-square patches

@@ -15,6 +15,8 @@ from satfuse.synthetic import (
     make_fusion_dataset,
 )
 
+from conftest import traced_peak
+
 SMALL = dict(width=64, height=64, n_bands=12, scale=8)
 
 
@@ -27,8 +29,48 @@ class TestSceneConfig:
         with pytest.raises(ValidationError):
             SceneConfig(noise_sigma=-0.1)
 
+    @pytest.mark.parametrize("field, bad", [
+        ("width", 0), ("height", -8), ("scale", 0), ("n_bands", 0), ("n_endmembers", 2.5),
+        ("width", True), ("n_bands", "many"), ("smoothness", np.nan), ("smoothness", -1.0),
+        ("noise_sigma", np.inf), ("gain", np.nan), ("offset", -np.inf), ("pixel_m", 0.0),
+        ("pixel_m", np.inf), ("fwhm", 0.0), ("fwhm", np.nan), ("gain", True),
+    ])
+    def test_bad_field_refused(self, field, bad):
+        # width=0 used to construct and warn in gen_hyper_scene, scale=0 gave
+        # ZeroDivisionError, n_endmembers=2.5 TypeError, smoothness=nan constructed
+        with pytest.raises(ValidationError, match=field):
+            SceneConfig(**{field: bad})
+
+    def test_numbers_are_stored_as_int_and_float(self):
+        cfg = SceneConfig(width=np.int64(64), height=64.0, scale=8, smoothness=2,
+                          fwhm=np.float32(10.0))
+        assert (type(cfg.width), type(cfg.height), type(cfg.smoothness), type(cfg.fwhm)) == (
+            int, int, float, float)
+
 
 class TestGenHyperScene:
+    @pytest.mark.parametrize("cfg", [
+        dict(seed=0, width=40, height=24, n_bands=269, scale=8),
+        dict(seed=1, width=64, height=48, n_bands=2, scale=8),
+        dict(seed=2, width=32, height=32, n_bands=24, n_endmembers=1, scale=8),
+        dict(seed=3, width=96, height=32, n_bands=30, n_endmembers=7, scale=4),
+        dict(seed=4, width=48, height=48, n_bands=12, smoothness=0.5, scale=8, endmember_seed=9),
+    ])
+    def test_equals_einsum_clip_cast_bit_for_bit(self, cfg):
+        # the float64 einsum path the band-at-a-time mixing replaces
+        cube, ab, E = gen_hyper_scene(SceneConfig(**cfg), return_parts=True)
+        want = np.einsum("mk,mhw->khw", E, ab)
+        np.clip(want, 0.0, 1.0, out=want)
+        assert cube.values.dtype == np.float32
+        assert cube.values.tobytes() == want.astype(np.float32).tobytes()
+
+    @pytest.mark.parametrize("n_endmembers", [1, 5])
+    def test_memory_beyond_the_cube_is_a_few_planes(self, n_endmembers):
+        cfg = SceneConfig(seed=12, width=128, height=96, n_bands=64, n_endmembers=n_endmembers)
+        peak, cube = traced_peak(gen_hyper_scene, cfg)
+        plane = cfg.width * cfg.height * 8
+        assert peak - cube.values.nbytes < (n_endmembers + 3) * plane
+
     def test_single_endmember_constant_cube(self):
         cube = gen_hyper_scene(SceneConfig(seed=0, n_endmembers=1, **SMALL))
         for b in range(cube.n_bands):
