@@ -97,13 +97,10 @@ def read_block(fh, out):
     """Fill the writable buffer `out` (an array or bytearray) from `fh` and
     return it.  A file that ends first is a CorruptionError."""
     view = memoryview(out).cast("B")
-    done = 0
-    while done < len(view):
-        n = fh.readinto(view[done:])
-        if not n:
-            raise CorruptionError(f"{fh.name}: file ends at byte {fh.tell()}, "
-                                  f"{len(view) - done} bytes short of a {len(view)}-byte block")
-        done += n
+    n = fh.readinto(view)
+    if n != len(view):
+        raise CorruptionError(f"{fh.name}: file ends at byte {fh.tell()}, "
+                              f"{len(view) - n} bytes short of a {len(view)}-byte block")
     return out
 
 

@@ -374,18 +374,13 @@ def _forward_batch(model: SrcnnModel, x: np.ndarray, keep_cache: bool = False,
 
 def _backward_batch(model: SrcnnModel, cache, gout: np.ndarray, input_grad: bool = True,
                     ws: dict | None = None):
-    """Weight gradients of every layer, and the input gradient if `input_grad`.
-
-    Consumes `cache`: each layer's entry is dropped once its gradients are
-    taken, so without a workspace its column matrix is freed before the next
-    layer's gradient GEMMs run.
-    """
+    """Weight gradients of every layer, and the input gradient if `input_grad`."""
     slope = model.arch.slope
     n_layers = len(model.weights)
     grads = [None] * n_layers
     g = gout
     for li in range(n_layers - 1, -1, -1):
-        cols, positive = cache.pop()
+        cols, positive = cache[li]
         if positive is not None:
             # chain rule through LeakyReLU: g * (1 where z > 0, else slope)
             gz = np.multiply(g, slope, out=_scratch(ws, (li, "gact"), g.shape))

@@ -71,8 +71,9 @@ class SceneConfig:
     endmember_seed: int | None = None
 
     def __post_init__(self):
-        for name in ("width", "height", "scale", "n_bands", "n_endmembers"):
+        for name in ("width", "height", "scale", "n_endmembers"):
             self._check(name, integer, lambda v: v >= 1, "an integer >= 1")
+        self._check("n_bands", integer, lambda v: v >= 2, "an integer >= 2")
         for name in ("smoothness", "noise_sigma"):
             self._check(name, finite, lambda v: v >= 0, "a finite number >= 0")
         for name in ("gain", "offset"):
@@ -82,8 +83,6 @@ class SceneConfig:
             self._check("fwhm", finite, lambda v: v > 0, "None or a finite number > 0")
         if self.width % self.scale or self.height % self.scale:
             raise ValidationError("width and height must be divisible by scale")
-        if self.n_bands < 2:
-            raise ValidationError("need at least 2 spectral bands")
         object.__setattr__(self, "shift", (int(self.shift[0]), int(self.shift[1])))
 
     def _check(self, name: str, convert, ok, rule: str):
@@ -92,7 +91,7 @@ class SceneConfig:
         value = getattr(self, name)
         try:
             number = convert(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             number = None
         if number is None or not ok(number):
             raise ValidationError(f"{name} must be {rule}, got {value!r}")
