@@ -6,8 +6,11 @@ coincides with a coarse pixel corner and every fine pixel lies inside exactly
 one coarse pixel.  Second, the residual georeferencing error is estimated by
 scoring every candidate translation of the fine image within one coarse
 pixel: the fine image is shifted by whole fine pixels, block-averaged onto
-the coarse grid (prefix sums make each candidate O(cells)), and a linear
-regression of coarse values on the block means measures the disagreement.
+the coarse grid, and a linear regression of coarse values on the block means
+measures the disagreement.  The block sums come from a box-sum image built
+once per call (the sum of the block at every fine pixel position, from
+prefix sums); the blocks under the coarse cells of one candidate are one
+strided view of it, so a candidate costs O(cells) and no gathers.
 The shift with the lowest summed residual wins; the coarse image is never
 resampled or modified.
 """
@@ -19,8 +22,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import AlignmentError, CoverageError, GeometryError
-from .raster import GeoGrid, Raster
+from .errors import AlignmentError, CoverageError, GeometryError, ValidationError
+from .raster import GeoGrid, Raster, _integer, _require_bands
 
 __all__ = ["ShiftEstimate", "ScoreResult", "snap_to_grid", "score_shift", "register"]
 
@@ -144,10 +147,40 @@ def snap_to_grid(fine: Raster, coarse_grid: GeoGrid, target_pixel: float) -> Ras
 # shift scoring
 
 
+def _box_sums(a: np.ndarray, sy: int, sx: int) -> np.ndarray:
+    """Sum of every ``sy`` x ``sx`` window of the last two axes of `a`, at
+    the window's upper-left pixel (r, c): with prefix sums ``S``,
+    ``S[r+sy, c+sx] - S[r, c+sx] - S[r+sy, c] + S[r, c]``, in that order."""
+    *lead, H, W = a.shape
+    S = np.zeros((*lead, H + 1, W + 1))
+    np.cumsum(a, axis=-2, out=S[..., 1:, 1:])
+    np.cumsum(S[..., 1:, 1:], axis=-1, out=S[..., 1:, 1:])
+    box = S[..., sy:, sx:] - S[..., :-sy, sx:]
+    box -= S[..., sy:, :-sx]
+    box += S[..., :-sy, :-sx]
+    return box
+
+
+def _covered(off: int, step: int, size: int, n: int):
+    """Cells k < n whose block, ``step`` pixels from ``off + k*step``, lies
+    inside ``[0, size)``: their slice, and the strided slice of their block
+    starts, or None when there are none."""
+    k0 = max(0, -(off // step))
+    k1 = min(n, (size - off) // step)
+    if k0 >= k1:
+        return None
+    return slice(k0, k1), slice(off + k0 * step, off + k1 * step, step)
+
+
 class _ScoreContext:
-    """Prefix sums of the fine raster plus the coarse arrays, built once."""
+    """Box-sum images of the fine values (``box``) and valid-pixel mask
+    (``count``) plus the coarse arrays, built once.  The blocks under the
+    coarse cells of one candidate shift form one strided view of each image.
+    """
 
     def __init__(self, fine: Raster, coarse: Raster):
+        _require_bands(fine)
+        _require_bands(coarse)
         sx = _int_ratio(coarse.grid.pixel_w, fine.grid.pixel_w, "pixel width ratio")
         sy = _int_ratio(coarse.grid.pixel_h, fine.grid.pixel_h, "pixel height ratio")
         offx = (coarse.grid.origin_x - fine.grid.origin_x) / fine.grid.pixel_w
@@ -159,17 +192,10 @@ class _ScoreContext:
             )
         self.sx, self.sy = sx, sy
         self.offx, self.offy = int(round(offx)), int(round(offy))
-        self.fine = fine
-        self.coarse = coarse
+        self.H, self.W = fine.grid.height, fine.grid.width
         self.shared_bands = fine.band_names == coarse.band_names
-
-        vals = fine.filled_values()
-        nb, H, W = vals.shape
-        self.H, self.W = H, W
-        self.vsum = np.zeros((nb, H + 1, W + 1))
-        self.vsum[:, 1:, 1:] = vals.cumsum(axis=1).cumsum(axis=2)
-        self.csum = np.zeros((H + 1, W + 1))
-        self.csum[1:, 1:] = fine.mask.astype(np.float64).cumsum(axis=0).cumsum(axis=1)
+        self.box = _box_sums(fine.filled_values(), sy, sx)
+        self.count = _box_sums(fine.mask.astype(np.float64), sy, sx)
         self.cvals = coarse.values.astype(np.float64)
         self.cmask = coarse.mask
 
@@ -180,36 +206,21 @@ class _ScoreContext:
         inside the shifted footprint with every fine pixel valid, or None
         when no cell qualifies.
         """
-        dx, dy = int(shift[0]), int(shift[1])
+        dx, dy = shift
         sx, sy = self.sx, self.sy
-        ch, cw = self.coarse.grid.height, self.coarse.grid.width
-        # coarse cell (I, J) reads fine block starting at
-        # (offy + I*sy - dy, offx + J*sx - dx)
-        r0 = self.offy + np.arange(ch) * sy - dy
-        c0 = self.offx + np.arange(cw) * sx - dx
-        ok_r = (r0 >= 0) & (r0 + sy <= self.H)
-        ok_c = (c0 >= 0) & (c0 + sx <= self.W)
-        if not ok_r.any() or not ok_c.any():
+        # coarse cell (I, J) reads the fine block starting at
+        # (offy + I*sy - dy, offx + J*sx - dx); the cells whose block lies
+        # inside the fine raster form one range per axis
+        rows = _covered(self.offy - dy, sy, self.H, self.cmask.shape[0])
+        cols = _covered(self.offx - dx, sx, self.W, self.cmask.shape[1])
+        if rows is None or cols is None:
             return None
-        R0 = r0[ok_r][:, None]
-        C0 = c0[ok_c][None, :]
-        counts = (
-            self.csum[R0 + sy, C0 + sx]
-            - self.csum[R0, C0 + sx]
-            - self.csum[R0 + sy, C0]
-            + self.csum[R0, C0]
-        )
-        full = (counts == sx * sy) & self.cmask[ok_r][:, ok_c]
+        (cells_r, blocks_r), (cells_c, blocks_c) = rows, cols
+        full = (self.count[blocks_r, blocks_c] == sx * sy) & self.cmask[cells_r, cells_c]
         if not full.any():
             return None
-        sums = (
-            self.vsum[:, R0 + sy, C0 + sx]
-            - self.vsum[:, R0, C0 + sx]
-            - self.vsum[:, R0 + sy, C0]
-            + self.vsum[:, R0, C0]
-        )
-        means = sums[:, full] / (sx * sy)
-        cvals = self.cvals[:, ok_r][:, :, ok_c][:, full]
+        means = self.box[:, blocks_r, blocks_c][:, full] / (sx * sy)
+        cvals = self.cvals[:, cells_r, cells_c][:, full]
         return means, cvals
 
     def score(self, shift: tuple[int, int]) -> ScoreResult | None:
@@ -249,6 +260,11 @@ def _regress_multivariate(x: np.ndarray, y: np.ndarray, n: int) -> ScoreResult:
 
 def score_shift(fine: Raster, coarse: Raster, shift: tuple[int, int]) -> ScoreResult:
     """Score one candidate translation (fine-pixel offsets) of the fine image."""
+    try:
+        dx, dy = () if isinstance(shift, (str, bytes)) else shift
+    except (TypeError, ValueError):
+        raise ValidationError(f"shift must be a pair (dx, dy) of integers, got {shift!r}") from None
+    shift = (_integer("shift dx", dx), _integer("shift dy", dy))
     result = _ScoreContext(fine, coarse).score(shift)
     if result is None:
         raise CoverageError(

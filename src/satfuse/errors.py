@@ -3,6 +3,7 @@ readers use to turn a parse failure into one of these errors."""
 
 import csv
 import math
+import numbers
 from contextlib import contextmanager
 
 
@@ -101,7 +102,9 @@ def finite(value) -> float:
 
 def integer(value) -> int:
     """`int(value)`, refusing booleans and numbers with a fractional part with a ValueError."""
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+    if isinstance(value, bool) or (isinstance(value, numbers.Real)
+                                   and not isinstance(value, numbers.Integral)
+                                   and not float(value).is_integer()):
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import AlignmentError, DimensionError, ValidationError
+from .errors import AlignmentError, DimensionError, ValidationError, integer
 
 __all__ = [
     "GeoGrid",
@@ -191,6 +191,14 @@ def _require_bands(r: Raster):
         raise ValidationError("raster has no bands")
 
 
+def _integer(name: str, value) -> int:
+    """`errors.integer(value)`, or a ValidationError naming the parameter."""
+    try:
+        return integer(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+
+
 def block_mean(r: Raster, factor: int) -> Raster:
     """Aggregate each factor x factor block of fine pixels into one coarse pixel.
 
@@ -199,6 +207,7 @@ def block_mean(r: Raster, factor: int) -> Raster:
     scales by `factor`, origin unchanged.
     """
     _require_bands(r)
+    factor = _integer("factor", factor)
     if factor < 1:
         raise ValidationError("factor must be a positive integer")
     nb, h, w = r.shape
@@ -250,6 +259,7 @@ def upsample_bicubic(r: Raster, factor: int) -> Raster:
     invalid.
     """
     _require_bands(r)
+    factor = _integer("factor", factor)
     if factor < 1:
         raise ValidationError("factor must be a positive integer")
     if factor == 1:
@@ -298,6 +308,7 @@ def translate_pixels(r: Raster, dx: int, dy: int) -> Raster:
     larger rows.  Pixels rolled in from outside the footprint are invalid.
     """
     _require_bands(r)
+    dx, dy = _integer("dx", dx), _integer("dy", dy)
     nb, h, w = r.shape
     if abs(dx) >= w or abs(dy) >= h:
         raise DimensionError("translation exceeds raster extent")

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from satfuse import alignment
 from satfuse.alignment import register, score_shift, snap_to_grid
-from satfuse.errors import AlignmentError, CoverageError, GeometryError
+from satfuse.errors import AlignmentError, CoverageError, GeometryError, ValidationError
 from satfuse.raster import GeoGrid, Raster, block_mean
 from satfuse.synthetic import SceneConfig, degrade
 
@@ -246,3 +247,166 @@ class TestRegister:
         est = register(rgb, coarse)
         assert est.shift_px == (0, 0)
         assert est.gains.shape == (8, 3)
+
+
+class TestShiftAndBandsChecked:
+    @pytest.mark.parametrize("shift", [(1.5, 0), (0, 2.5), (True, 0), (0, False),
+                                       (np.nan, 0), (np.inf, 0), (0, -np.inf), (np.float32(0.5), 0),
+                                       "ab", "12", (1,), (1, 2, 3), 3, None, (None, 0), 10**30])
+    def test_shift_that_is_not_two_integers_refused(self, shift):
+        # (1.5, 0) used to be scored as (1, 0) and (True, 0) as (1, 0); nan,
+        # inf, a string, a 1-tuple and 10**30 escaped as ValueError,
+        # OverflowError or IndexError
+        fine = smooth_raster(0, 64, 64)
+        with pytest.raises(ValidationError, match="shift"):
+            score_shift(fine, block_mean(fine, 8), shift)
+
+    def test_integral_floats_and_numpy_ints_score_as_ints(self):
+        fine = smooth_raster(1, 64, 64)
+        coarse = block_mean(fine, 8)
+        want = score_shift(fine, coarse, (2, -1))
+        for shift in [(2.0, -1.0), (np.int64(2), np.int32(-1)), np.array([2, -1])]:
+            assert score_shift(fine, coarse, shift).score == want.score
+
+    def test_huge_shift_leaves_no_coverage(self):
+        fine = smooth_raster(2, 64, 64)
+        with pytest.raises(CoverageError):
+            score_shift(fine, block_mean(fine, 8), (10**30, 0))
+
+    @pytest.mark.parametrize("empty_side", ["fine", "coarse"])
+    def test_raster_without_bands_refused(self, empty_side):
+        # a 0-band coarse raster used to register at shift (0, 0)
+        fine = smooth_raster(3, 64, 64)
+        coarse = block_mean(fine, 8)
+        rasters = {"fine": fine, "coarse": coarse}
+        r = rasters[empty_side]
+        rasters[empty_side] = Raster(r.grid, r.values[:0], [])
+        with pytest.raises(ValidationError, match="no bands"):
+            register(rasters["fine"], rasters["coarse"])
+        with pytest.raises(ValidationError, match="no bands"):
+            score_shift(rasters["fine"], rasters["coarse"], (0, 0))
+
+
+class FourCornerBlockMeans:
+    """Shift scoring as it was before the box-sum images: prefix sums of the
+    fine raster, and four fancy-index gathers of them for every candidate."""
+
+    def __init__(self, fine):
+        vals = fine.filled_values()
+        nb, H, W = vals.shape
+        self.vsum = np.zeros((nb, H + 1, W + 1))
+        self.vsum[:, 1:, 1:] = vals.cumsum(axis=1).cumsum(axis=2)
+        self.csum = np.zeros((H + 1, W + 1))
+        self.csum[1:, 1:] = fine.mask.astype(np.float64).cumsum(axis=0).cumsum(axis=1)
+
+    def __call__(self, ctx, shift):
+        dx, dy = int(shift[0]), int(shift[1])
+        sx, sy = ctx.sx, ctx.sy
+        ch, cw = ctx.cmask.shape
+        r0 = ctx.offy + np.arange(ch) * sy - dy
+        c0 = ctx.offx + np.arange(cw) * sx - dx
+        ok_r = (r0 >= 0) & (r0 + sy <= ctx.H)
+        ok_c = (c0 >= 0) & (c0 + sx <= ctx.W)
+        if not ok_r.any() or not ok_c.any():
+            return None
+        R0 = r0[ok_r][:, None]
+        C0 = c0[ok_c][None, :]
+        counts = (
+            self.csum[R0 + sy, C0 + sx]
+            - self.csum[R0, C0 + sx]
+            - self.csum[R0 + sy, C0]
+            + self.csum[R0, C0]
+        )
+        full = (counts == sx * sy) & ctx.cmask[ok_r][:, ok_c]
+        if not full.any():
+            return None
+        sums = (
+            self.vsum[:, R0 + sy, C0 + sx]
+            - self.vsum[:, R0, C0 + sx]
+            - self.vsum[:, R0 + sy, C0]
+            + self.vsum[:, R0, C0]
+        )
+        return sums[:, full] / (sx * sy), ctx.cvals[:, ok_r][:, :, ok_c][:, full]
+
+
+def shifted_scene():
+    fine = smooth_raster(30, 128, 96, n_bands=3)
+    return fine, degrade(fine, SceneConfig(seed=5, width=128, height=96, shift=(3, -5), scale=8))
+
+
+def masked_scene():
+    fine = smooth_raster(31, 128, 128, n_bands=2)
+    fine.mask[20:37, 50:83] = False
+    fine.mask[90, 7] = False
+    coarse = block_mean(smooth_raster(31, 128, 128, n_bands=2), 8)
+    coarse.mask[6, 9] = False
+    return fine, coarse
+
+
+def clipped_scene():
+    # the coarse grid starts 3 fine pixels below the top of the fine raster
+    # and 11 to the left of it, and reaches past it on the right and at the
+    # bottom: every edge of the fine footprint cuts through coarse cells
+    big = smooth_raster(32, 200, 200, n_bands=2)
+    whole = block_mean(big, 8)
+    g, cg = big.grid, whole.grid
+    coarse = Raster(GeoGrid(cg.origin_x, cg.origin_y - 2 * cg.pixel_h, cg.pixel_w, cg.pixel_h,
+                            cg.width, cg.height - 2), whole.values[:, 2:], whole.band_names)
+    r0, c0, h, w = 13, 11, 150, 170
+    grid = GeoGrid(g.origin_x + c0 * g.pixel_w, g.origin_y - r0 * g.pixel_h,
+                   g.pixel_w, g.pixel_h, w, h)
+    return Raster(grid, big.values[:, r0:r0 + h, c0:c0 + w], big.band_names), coarse
+
+
+def multivariate_scene():
+    latent = smooth_raster(33, 128, 128, n_bands=3)
+    rng = np.random.default_rng(34)
+    mix = rng.uniform(0.1, 0.9, size=(8, 3))
+    mix /= mix.sum(axis=1, keepdims=True)
+    vals8 = np.tensordot(mix, latent.values.astype(np.float64), axes=([1], [0]))
+    coarse = block_mean(Raster(latent.grid, vals8.astype(np.float32), [f"s{i}" for i in range(8)]), 8)
+    fine = Raster(latent.grid, latent.values, ["red", "green", "blue"])
+    return fine, coarse
+
+
+def bits(a):
+    a = np.asarray(a)
+    return a.dtype, a.shape, a.tobytes()
+
+
+def result_bits(r):
+    return None if r is None else (bits(r.score), bits(r.gains), bits(r.offsets), r.n_cells)
+
+
+class TestBoxSumsMatchFourCorners:
+    """Scores from the box-sum images equal, bit for bit, the scores from the
+    per-candidate four-corner gather they replace."""
+
+    SCENES = {"shifted": shifted_scene, "masked": masked_scene,
+              "clipped": clipped_scene, "multivariate": multivariate_scene}
+
+    @pytest.mark.parametrize("scene", sorted(SCENES))
+    def test_every_score_and_register_match(self, scene, monkeypatch):
+        fine, coarse = self.SCENES[scene]()
+        ctx = alignment._ScoreContext(fine, coarse)
+        # every candidate register may try, and a margin of shifts that
+        # leave fewer cells or none
+        shifts = [(dx, dy) for dy in range(-ctx.sy - 4, ctx.sy + 5)
+                  for dx in range(-ctx.sx - 4, ctx.sx + 5)]
+        got = [result_bits(ctx.score(shift)) for shift in shifts]
+        est = register(fine, coarse)
+
+        oracle = FourCornerBlockMeans(fine)
+        monkeypatch.setattr(alignment._ScoreContext, "block_means",
+                            lambda ctx, shift: oracle(ctx, shift))
+        want = [result_bits(ctx.score(shift)) for shift in shifts]
+        ref = register(fine, coarse)
+
+        for shift, g, w in zip(shifts, got, want):
+            assert g == w, shift
+        assert sum(g is not None for g in got) > 200
+        assert est.shift_px == ref.shift_px
+        assert (est.shift_x, est.shift_y) == (ref.shift_x, ref.shift_y)
+        assert est.score_grid == ref.score_grid and est.evaluations > 100
+        assert bits(est.score) == bits(ref.score)
+        assert bits(est.gains) == bits(ref.gains) and bits(est.offsets) == bits(ref.offsets)

@@ -297,3 +297,40 @@ class TestTranslatePixels:
         assert not out.mask[0, :].any()
         assert not out.mask[:, :2].any()
         assert out.mask[1:, 2:].all()
+
+    @pytest.mark.parametrize("dx, dy", [(1.5, 0), (0, -0.5), (np.nan, 0), (0, np.inf),
+                                        (True, 0), (0, False), ("x", 0), (None, 0),
+                                        (np.float32(1.5), 0)])
+    def test_non_integer_shift_refused(self, dx, dy):
+        # 1.5 used to escape as TypeError; nan and True returned a raster
+        with pytest.raises(ValidationError, match="must be an integer"):
+            translate_pixels(random_raster(0, 6, 6, 1), dx, dy)
+
+    def test_integral_float_and_numpy_shifts_move_like_ints(self):
+        r = random_raster(0, 6, 6, 2, mask_fraction=0.2)
+        want = translate_pixels(r, 2, -1)
+        for dx, dy in [(2.0, -1.0), (np.int64(2), np.int32(-1))]:
+            out = translate_pixels(r, dx, dy)
+            assert np.array_equal(out.values, want.values) and np.array_equal(out.mask, want.mask)
+
+
+BAD_FACTORS = [2.5, np.nan, np.inf, True, "x", None, np.float32(2.5)]
+
+
+@pytest.mark.parametrize("op", [block_mean, upsample_bicubic])
+class TestFactorChecked:
+    @pytest.mark.parametrize("factor", BAD_FACTORS)
+    def test_non_integer_factor_refused(self, op, factor):
+        # upsample_bicubic(r, 2.5) used to return a 160-pixel raster from 64
+        # pixels; True and "x" escaped as TypeError, nan as ValueError
+        with pytest.raises(ValidationError, match="factor must be an integer"):
+            op(random_raster(0, 8, 8, 1), factor)
+
+    def test_integral_float_factor_gives_the_int_factor_bytes(self, op):
+        r = random_raster(1, 8, 8, 2, mask_fraction=0.2)
+        want = op(r, 2)
+        for factor in (2.0, np.int64(2)):
+            out = op(r, factor)
+            assert out.grid == want.grid
+            assert out.values.tobytes() == want.values.tobytes()
+            assert out.mask.tobytes() == want.mask.tobytes()
