@@ -101,12 +101,22 @@ def finite(value) -> float:
 
 
 def integer(value) -> int:
-    """`int(value)`, refusing booleans and numbers with a fractional part with a ValueError."""
+    """`int(value)`, refusing booleans and numbers with a fractional part with a ValueError.
+
+    This is the rule for a field read from a file, which may hold a digit string."""
     if isinstance(value, bool) or (isinstance(value, numbers.Real)
                                    and not isinstance(value, numbers.Integral)
                                    and not float(value).is_integer()):
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
+
+
+def whole_number(value) -> int:
+    """`integer(value)` of a library parameter, which must be a real number: a
+    string or a NumPy boolean (not a `numbers.Real`) is a TypeError."""
+    if not isinstance(value, numbers.Real):
+        raise TypeError(f"{value!r} is not a number")
+    return integer(value)
 
 
 def read_csv(path, columns, text):

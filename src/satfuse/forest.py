@@ -8,6 +8,19 @@ node from the tree's own seeded stream, leaves hold target means.  All
 randomness derives from (seed, tree_index), so fits are reproducible and
 trees may be grown in parallel without changing the result.
 
+`fit_forest` grows its trees on every CPU this process may run on
+(`os.sched_getaffinity`; one where the OS cannot say).  With c usable CPUs
+the tree indices are cut into c contiguous chunks; the calling process grows
+the first chunk itself while c - 1 forked worker processes grow the others,
+and the trees are put back in index order, so the model, its JSON and every
+prediction are the same bytes for any c.  Growth stays serial, with no
+worker, when one CPU is usable, when there are fewer trees than CPUs, when
+the `fork` start method is missing, or when the caller is a daemonic process
+(a `multiprocessing.Pool` worker), which may not start children.  The
+workers are joined before `fit_forest` returns or raises, and a worker's
+exception is raised in the caller.  Arguments are checked in the caller
+before any worker starts.
+
 Split search is plain Python over lists.  A median split node holds about 5
 rows, so per-call cost outweighs arithmetic: a vectorized search makes about
 120 NumPy calls per split node and fits about 2.5x slower.  Each tree turns
@@ -26,13 +39,14 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import (ConfigError, CoverageError, FormatError, PartitionError, SchemaError,
-                     ValidationError, integer, parse_errors, read_csv)
-from .raster import Raster
+                     ValidationError, integer, parse_errors, read_csv, whole_number)
+from .raster import Raster, _integer
 
 __all__ = [
     "Quadrat",
@@ -114,14 +128,22 @@ class ForestConfig:
     bootstrap: bool = True
 
     def __post_init__(self):
-        if self.n_trees < 1:
-            raise ConfigError(f"n_trees must be at least 1, got {self.n_trees}")
-        if self.min_samples_leaf < 1:
-            raise ConfigError(f"min_samples_leaf must be at least 1, got {self.min_samples_leaf}")
-        if self.max_features is not None and self.max_features < 1:
-            raise ConfigError(f"max_features must be at least 1, got {self.max_features}")
-        if self.max_depth is not None and self.max_depth < 0:
-            raise ConfigError(f"max_depth must be at least 0, got {self.max_depth}")
+        """Store every integer field as an `int`; a ConfigError names a bad field."""
+        for name, low, optional in (("n_trees", 1, False), ("max_features", 1, True),
+                                    ("min_samples_leaf", 1, False), ("max_depth", 0, True)):
+            value = getattr(self, name)
+            if value is None and optional:
+                continue
+            try:
+                number = whole_number(value)
+            except (TypeError, ValueError, OverflowError):
+                number = None
+            if number is None or number < low:
+                rule = f"{'None or ' if optional else ''}an integer >= {low}"
+                raise ConfigError(f"{name} must be {rule}, got {value!r}")
+            setattr(self, name, number)
+        if not isinstance(self.bootstrap, bool):
+            raise ConfigError(f"bootstrap must be True or False, got {self.bootstrap!r}")
 
 
 @dataclass
@@ -293,23 +315,86 @@ class ForestModel:
 
 
 def fit_forest(X: np.ndarray, y: np.ndarray, cfg: ForestConfig | None = None, seed: int = 0) -> ForestModel:
-    """Fit a bagged CART regression forest; deterministic under `seed`."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if X.ndim != 2 or X.shape[1] < 1:
-        raise ValidationError("X must be 2-D with at least one feature")
-    n = X.shape[0]
-    if n < 2 or y.shape[0] != n:
-        raise ValidationError("need at least 2 samples with matching targets")
+    """Fit a bagged CART regression forest; deterministic under `seed`.
+
+    The trees are grown on every usable CPU (see the module docstring); the
+    result does not depend on how many there are.
+    """
+    X, y = _samples(X, y)
+    if X.shape[0] < 2 or X.shape[1] < 1:
+        raise ValidationError("need at least 2 samples and one feature")
+    if cfg is None:
+        cfg = ForestConfig()
+    elif not isinstance(cfg, ForestConfig):
+        raise ConfigError(f"cfg must be a ForestConfig or None, got {cfg!r}")
+    seed = _seed(seed)
+    trees = _grow_trees(X, y, cfg, seed)
+    return ForestModel(trees, cfg, seed, X.shape[1], (float(y.min()), float(y.max())))
+
+
+def _floats(name: str, value) -> np.ndarray:
+    """`value` as a float64 array, or a ValidationError naming the argument."""
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{name} must be an array of numbers") from None
+
+
+def _samples(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """Features `X` (2-D) and one target per row (`y`, raveled), all finite, as float64."""
+    X = _floats("X", X)
+    y = _floats("y", y).ravel()
+    if X.ndim != 2:
+        raise ValidationError(f"X must be 2-D, got {X.ndim}-D")
+    if y.shape[0] != X.shape[0]:
+        raise ValidationError(f"{y.shape[0]} targets for {X.shape[0]} rows")
     if not np.isfinite(X).all() or not np.isfinite(y).all():
         raise ValidationError("features and targets must be finite")
-    cfg = cfg or ForestConfig()
+    return X, y
 
+
+def _seed(seed) -> int:
+    seed = _integer("seed", seed)
+    if seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
+    return seed
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on (1 where the OS cannot say)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _grow_chunk(X, y, cfg: ForestConfig, seed: int, first: int, stop: int) -> list[_Tree]:
+    """Trees `first` to `stop - 1`, each from its own (seed, index) stream."""
     trees = []
-    for t in range(cfg.n_trees):
-        rng, idx = _tree_sample(seed, t, n, cfg.bootstrap)
+    for t in range(first, stop):
+        rng, idx = _tree_sample(seed, t, X.shape[0], cfg.bootstrap)
         trees.append(_grow_tree(X, y, idx, rng, cfg))
-    return ForestModel(trees, cfg, seed, X.shape[1], (float(y.min()), float(y.max())))
+    return trees
+
+
+def _grow_trees(X, y, cfg: ForestConfig, seed: int) -> list[_Tree]:
+    """Every tree of the forest, in index order, grown by the caller and forked workers."""
+    n_cpus = _usable_cpus()
+    if n_cpus < 2 or cfg.n_trees < n_cpus:
+        return _grow_chunk(X, y, cfg, seed, 0, cfg.n_trees)
+    import multiprocessing
+    # a daemonic process (a multiprocessing.Pool worker) may not start children
+    if "fork" not in multiprocessing.get_all_start_methods() or multiprocessing.current_process().daemon:
+        return _grow_chunk(X, y, cfg, seed, 0, cfg.n_trees)
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork, not spawn: a spawned worker would import NumPy and satfuse afresh,
+    # which costs more than a typical fit
+    edges = [cfg.n_trees * i // n_cpus for i in range(n_cpus + 1)]
+    with ProcessPoolExecutor(n_cpus - 1, mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = [pool.submit(_grow_chunk, X, y, cfg, seed, edges[i], edges[i + 1])
+                   for i in range(1, n_cpus)]
+        trees = _grow_chunk(X, y, cfg, seed, edges[0], edges[1])
+        for future in futures:
+            trees.extend(future.result())
+    return trees
 
 
 def _tree_sample(seed: int, t: int, n: int, bootstrap: bool):
@@ -320,7 +405,9 @@ def _tree_sample(seed: int, t: int, n: int, bootstrap: bool):
 
 def predict(model: ForestModel, features: np.ndarray) -> float | np.ndarray:
     """Mean over tree predictions; a 1-D input returns a scalar."""
-    X = np.asarray(features, dtype=np.float64)
+    X = _floats("features", features)
+    if X.ndim not in (1, 2):
+        raise SchemaError(f"features must be 1-D or 2-D, got {X.ndim}-D")
     single = X.ndim == 1
     if single:
         X = X[None, :]
@@ -328,6 +415,8 @@ def predict(model: ForestModel, features: np.ndarray) -> float | np.ndarray:
         raise SchemaError(
             f"feature length {X.shape[1]} does not match model ({model.n_features})"
         )
+    if not np.isfinite(X).all():
+        raise ValidationError("features must be finite")
     acc = np.zeros(X.shape[0])
     for tree in model.trees:
         acc += tree.predict(X)
@@ -341,18 +430,16 @@ def oob_r2(model: ForestModel, X: np.ndarray, y: np.ndarray) -> float:
     Each tree's bootstrap draw is regenerated from the model seed exactly as
     `fit_forest` drew it, so a model read back from JSON gives the same value.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if X.ndim != 2 or X.shape[1] != model.n_features:
-        raise SchemaError(f"features must be 2-D with {model.n_features} columns")
+    X, y = _samples(X, y)
+    if X.shape[1] != model.n_features:
+        raise SchemaError(f"features must have {model.n_features} columns, got {X.shape[1]}")
     n = X.shape[0]
-    if y.shape[0] != n:
-        raise ValidationError(f"{y.shape[0]} targets for {n} rows")
+    seed = _seed(model.seed)
     acc = np.zeros(n)
     cnt = np.zeros(n)
     for t, tree in enumerate(model.trees):
         oob = np.ones(n, dtype=bool)
-        oob[_tree_sample(model.seed, t, n, model.config.bootstrap)[1]] = False
+        oob[_tree_sample(seed, t, n, model.config.bootstrap)[1]] = False
         if not oob.any():
             continue
         acc[oob] += tree.predict(X[oob])
@@ -384,9 +471,10 @@ def cross_validate(
     Per-fold R^2 uses the held-out mean; pooled metrics concatenate the
     held-out predictions of all folds.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64).ravel()
+    X, y = _samples(X, y)
     n = X.shape[0]
+    k = _integer("k", k)
+    seed = _seed(seed)
     if k < 2 or k > n:
         raise PartitionError(f"cannot split {n} samples into {k} folds")
     rng = np.random.default_rng([seed, 0])

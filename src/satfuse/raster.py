@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import AlignmentError, DimensionError, ValidationError, integer
+from .errors import AlignmentError, DimensionError, ValidationError, whole_number
 
 __all__ = [
     "GeoGrid",
@@ -192,9 +192,9 @@ def _require_bands(r: Raster):
 
 
 def _integer(name: str, value) -> int:
-    """`errors.integer(value)`, or a ValidationError naming the parameter."""
+    """`errors.whole_number(value)`, or a ValidationError naming the parameter."""
     try:
-        return integer(value)
+        return whole_number(value)
     except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"{name} must be an integer, got {value!r}") from None
 

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from .bsf import read_bsf, write_bsf
-from .errors import GeometryError, ValidationError, finite, integer, parse_errors
+from .errors import GeometryError, ValidationError, finite, parse_errors, whole_number
 from .raster import (
     GeoGrid,
     Raster,
@@ -72,8 +72,8 @@ class SceneConfig:
 
     def __post_init__(self):
         for name in ("width", "height", "scale", "n_endmembers"):
-            self._check(name, integer, lambda v: v >= 1, "an integer >= 1")
-        self._check("n_bands", integer, lambda v: v >= 2, "an integer >= 2")
+            self._check(name, whole_number, lambda v: v >= 1, "an integer >= 1")
+        self._check("n_bands", whole_number, lambda v: v >= 2, "an integer >= 2")
         for name in ("smoothness", "noise_sigma"):
             self._check(name, finite, lambda v: v >= 0, "a finite number >= 0")
         for name in ("gain", "offset"):

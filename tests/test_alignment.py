@@ -252,7 +252,8 @@ class TestRegister:
 class TestShiftAndBandsChecked:
     @pytest.mark.parametrize("shift", [(1.5, 0), (0, 2.5), (True, 0), (0, False),
                                        (np.nan, 0), (np.inf, 0), (0, -np.inf), (np.float32(0.5), 0),
-                                       "ab", "12", (1,), (1, 2, 3), 3, None, (None, 0), 10**30])
+                                       "ab", "12", (1,), (1, 2, 3), 3, None, (None, 0), 10**30,
+                                       ("1", 0), (0, np.True_)])
     def test_shift_that_is_not_two_integers_refused(self, shift):
         # (1.5, 0) used to be scored as (1, 0) and (True, 0) as (1, 0); nan,
         # inf, a string, a 1-tuple and 10**30 escaped as ValueError,

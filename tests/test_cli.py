@@ -485,6 +485,10 @@ CONTRACT_CASES = {
          "t.json": _train_config("m.json")},
         ["train", "--config", "t.json"]),
     "rf-cv-zero-trees": ({}, ["rf-cv", "--samples", "samples.csv", "--n-trees", "0", "--k", "3"]),
+    # a negative seed used to escape from NumPy as a ValueError traceback
+    "rf-cv-seed-negative": ({}, ["rf-cv", "--samples", "samples.csv", "--seed", "-1", "--k", "3"]),
+    "rf-fit-seed-negative": (
+        {}, ["rf-fit", "--samples", "samples.csv", "--seed", "-1", "--out-model", "f.json"]),
     "rf-fit-zero-trees": (
         {}, ["rf-fit", "--samples", "samples.csv", "--n-trees", "0", "--out-model", "f.json"]),
     "pipeline-rf-fit-zero-min-leaf": (

@@ -1,12 +1,17 @@
 import hashlib
 import json
 import math
+import multiprocessing
+import os
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from satfuse.errors import (ConfigError, CoverageError, FormatError, PartitionError, SchemaError,
-                            ValidationError)
+from satfuse import forest
+from satfuse.errors import (ConfigError, CoverageError, FormatError, PartitionError, SatfuseError,
+                            SchemaError, ValidationError)
 from satfuse.forest import (
     ForestConfig,
     ForestModel,
@@ -155,6 +160,65 @@ class TestFitForest:
             with pytest.raises(ConfigError):
                 ForestConfig(**bad)
         ForestConfig(max_depth=0)  # a single-leaf tree is legal
+
+    @pytest.mark.parametrize("field, bad", [
+        ("n_trees", 2.5), ("n_trees", "3"), ("n_trees", True), ("n_trees", np.nan),
+        ("n_trees", np.inf), ("n_trees", None), ("n_trees", np.True_), ("max_features", 1.5),
+        ("max_features", "2"), ("max_features", False), ("min_samples_leaf", 1.5),
+        ("min_samples_leaf", -np.inf), ("max_depth", np.nan), ("max_depth", 2.5),
+        ("max_depth", "3"), ("bootstrap", "no"), ("bootstrap", 1), ("bootstrap", None),
+        ("bootstrap", np.True_),
+    ])
+    def test_bad_config_field_refused(self, field, bad):
+        # 2.5, "3" and 1.5 used to escape as TypeError; True, nan and "no" were accepted
+        with pytest.raises(ConfigError, match=field):
+            ForestConfig(**{field: bad})
+
+    def test_integral_config_values_are_stored_as_int(self):
+        cfg = ForestConfig(n_trees=3.0, max_features=np.int64(2), min_samples_leaf=np.float32(2),
+                           max_depth=4.0)
+        assert [type(v) for v in (cfg.n_trees, cfg.max_features, cfg.min_samples_leaf,
+                                  cfg.max_depth)] == [int] * 4
+        X, y = linear_benchmark(n=30, seed=2)
+        want = fit_forest(X, y, ForestConfig(3, 2, 2, 4), seed=1)
+        assert forest_bytes(fit_forest(X, y, cfg, seed=1)) == forest_bytes(want)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, np.True_, "3", np.nan, np.inf, None])
+    def test_bad_seed_refused(self, seed):
+        # -1 used to escape from NumPy as ValueError and 1.5 as TypeError
+        X, y = linear_benchmark(n=20)
+        cfg = ForestConfig(n_trees=2)
+        with pytest.raises(ValidationError, match="seed"):
+            fit_forest(X, y, cfg, seed=seed)
+        with pytest.raises(ValidationError, match="seed"):
+            cross_validate(X, y, k=2, cfg=cfg, seed=seed)
+        model = replace(fit_forest(X, y, cfg, seed=0), seed=seed)
+        with pytest.raises(ValidationError, match="seed"):
+            oob_r2(model, X, y)
+
+    def test_integral_seed_is_stored_as_int(self):
+        # a NumPy integer seed used to reach the model and fail in to_json
+        X, y = linear_benchmark(n=20)
+        model = fit_forest(X, y, ForestConfig(n_trees=2), seed=np.int64(7))
+        assert type(model.seed) is int
+        assert forest_bytes(model) == forest_bytes(fit_forest(X, y, ForestConfig(n_trees=2), seed=7))
+
+    @pytest.mark.parametrize("cfg", ["cfg", 3, {"n_trees": 2}])
+    def test_config_that_is_not_a_forest_config_refused(self, cfg):
+        with pytest.raises(ConfigError, match="cfg"):
+            fit_forest(*linear_benchmark(n=20), cfg)
+
+    @pytest.mark.parametrize("X", ["abc", [[1.0, 2.0], [3.0]], [[10**400, 1.0], [2.0, 3.0]]])
+    def test_features_that_are_not_numbers_refused(self, X):
+        with pytest.raises(ValidationError, match="X"):
+            fit_forest(X, [1.0, 2.0])
+
+
+def forest_bytes(model) -> bytes:
+    """Everything a model holds as bytes: config, seed, shape and every tree array."""
+    head = repr((vars(model.config), model.seed, model.n_features, model.target_range))
+    return head.encode() + b"".join(getattr(t, name).tobytes() for t in model.trees
+                                    for name in ("feature", "threshold", "left", "right", "value"))
 
 
 # Reference: the vectorized NumPy split search.  The list-based search in
@@ -339,6 +403,26 @@ class TestPredict:
         with pytest.raises(SchemaError):
             predict(model, np.zeros(5))
 
+    def test_features_not_1d_or_2d_refused(self):
+        # a 3-D input used to escape as ValueError, a 0-D one as IndexError
+        X, y = linear_benchmark(n=30)
+        model = fit_forest(X, y, ForestConfig(n_trees=3), seed=0)
+        for bad in (X[None], np.float64(0.5)):
+            with pytest.raises(SchemaError, match="1-D or 2-D"):
+                predict(model, bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_refused(self, bad):
+        # NaN features used to get a prediction
+        X, y = linear_benchmark(n=30)
+        model = fit_forest(X, y, ForestConfig(n_trees=3), seed=0)
+        q = X[:4].copy()
+        q[2, 1] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            predict(model, q)
+        with pytest.raises(ValidationError, match="finite"):
+            predict(model, q[2])
+
 
 class TestCrossValidate:
     def test_strong_forest_on_linear_target(self):
@@ -372,6 +456,20 @@ class TestCrossValidate:
         with pytest.raises(PartitionError):
             cross_validate(X, y, k=5)
 
+    @pytest.mark.parametrize("k", [2.5, True, "3", np.nan, None])
+    def test_k_that_is_not_an_integer_refused(self, k):
+        # 2.5 used to escape as TypeError and True was read as one fold
+        X, y = linear_benchmark(n=20)
+        with pytest.raises(ValidationError, match="k"):
+            cross_validate(X, y, k=k, cfg=ForestConfig(n_trees=2))
+
+    def test_targets_of_another_length_refused(self):
+        # a short y used to escape as IndexError
+        X, y = linear_benchmark(n=20)
+        for bad in (y[:-1], np.append(y, 1.0)):
+            with pytest.raises(ValidationError, match="targets"):
+                cross_validate(X, bad, k=4, cfg=ForestConfig(n_trees=2))
+
     def test_permuted_samples_change_folds_not_determinism(self):
         # the seed fixes the shuffle of *positions*, so permuting the sample
         # order changes which samples share a fold; each permuted run is
@@ -383,6 +481,112 @@ class TestCrossValidate:
         moved_b = cross_validate(X[perm], y[perm], k=5, cfg=ForestConfig(n_trees=20), seed=6)
         assert moved_a == moved_b
         assert moved_a != base
+
+
+def _growers(path):
+    """{pid: tree indices in growth order} from the log `_log_growers` writes."""
+    grown = {}
+    for line in path.read_text().splitlines():
+        pid, t = map(int, line.split())
+        grown.setdefault(pid, []).append(t)
+    return grown
+
+
+def _log_growers(monkeypatch, path):
+    """Append "pid tree-index" to `path` for every tree grown, in any process."""
+    sample = forest._tree_sample
+
+    def logged(seed, t, n, bootstrap):
+        fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        try:
+            os.write(fd, f"{os.getpid()} {t}\n".encode())
+        finally:
+            os.close(fd)
+        return sample(seed, t, n, bootstrap)
+
+    monkeypatch.setattr(forest, "_tree_sample", logged)
+
+
+class TestParallelGrowth:
+    """fit_forest splits its trees between the caller and forked workers."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("n_trees", [2, 7])
+    def test_trees_are_the_serial_bytes(self, monkeypatch, tmp_path, cpus, n_trees):
+        X, y = tie_heavy(n=50, p=5, seed=4)
+        cfg = ForestConfig(n_trees=n_trees, min_samples_leaf=2)
+        monkeypatch.setattr(forest, "_usable_cpus", lambda: 1)
+        want = fit_forest(X, y, cfg, seed=11)
+        _log_growers(monkeypatch, tmp_path / "grown")
+        monkeypatch.setattr(forest, "_usable_cpus", lambda: cpus)
+        got = fit_forest(X, y, cfg, seed=11)
+        assert multiprocessing.active_children() == []
+        assert forest_bytes(got) == forest_bytes(want)
+        # the caller grows the first contiguous chunk, one worker each other chunk
+        workers = cpus if n_trees >= cpus else 1
+        chunks = [list(range(n_trees * i // workers, n_trees * (i + 1) // workers))
+                  for i in range(workers)]
+        grown = _growers(tmp_path / "grown")
+        assert grown.pop(os.getpid()) == chunks[0]
+        assert sorted(grown.values()) == chunks[1:]
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("n_trees", [2, 7])
+    def test_cross_validation_is_the_serial_result(self, monkeypatch, cpus, n_trees):
+        X, y = tie_heavy(n=60, p=6, seed=5)
+        cfg = ForestConfig(n_trees=n_trees)
+        monkeypatch.setattr(forest, "_usable_cpus", lambda: 1)
+        want = cross_validate(X, y, k=4, cfg=cfg, seed=3)
+        monkeypatch.setattr(forest, "_usable_cpus", lambda: cpus)
+        assert repr(cross_validate(X, y, k=4, cfg=cfg, seed=3)) == repr(want)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("where", ["worker", "caller"])
+    def test_error_in_a_chunk_reaches_the_caller(self, monkeypatch, cpus, where):
+        caller = os.getpid()
+        grow = forest._grow_tree
+
+        def failing(*args):
+            if (os.getpid() == caller) == (where == "caller"):
+                raise CoverageError(f"no tree in the {where}")
+            return grow(*args)
+
+        monkeypatch.setattr(forest, "_grow_tree", failing)
+        monkeypatch.setattr(forest, "_usable_cpus", lambda: cpus)
+        with pytest.raises(CoverageError, match=f"no tree in the {where}"):
+            fit_forest(*linear_benchmark(n=30), ForestConfig(n_trees=6), seed=0)
+        assert multiprocessing.active_children() == []
+
+    def test_parallel_path_emits_no_warning(self, monkeypatch):
+        monkeypatch.setattr(forest, "_usable_cpus", lambda: 2)
+        X, y = linear_benchmark(n=40, seed=6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = fit_forest(X, y, ForestConfig(n_trees=4), seed=2)
+            cross_validate(X, y, k=3, cfg=ForestConfig(n_trees=4), seed=2)
+            predict(model, X)
+        assert multiprocessing.active_children() == []
+
+    def test_serial_without_the_fork_start_method(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(forest, "_usable_cpus", lambda: 2)
+        _log_growers(monkeypatch, tmp_path / "grown")
+        fit_forest(*linear_benchmark(n=30), ForestConfig(n_trees=4), seed=0)
+        assert _growers(tmp_path / "grown") == {os.getpid(): [0, 1, 2, 3]}
+
+    def test_serial_inside_a_pool_worker(self, monkeypatch):
+        # a daemonic multiprocessing.Pool worker may not start children
+        monkeypatch.setattr(forest, "_usable_cpus", lambda: 2)
+        X, y = linear_benchmark(n=30, seed=8)
+        cfg = ForestConfig(n_trees=4)
+        pool = multiprocessing.get_context("fork").Pool(1)
+        try:
+            got = pool.apply(fit_forest, (X, y, cfg, 3))
+        finally:
+            pool.close()
+            pool.join()
+        assert forest_bytes(got) == forest_bytes(fit_forest(X, y, cfg, seed=3))
 
 
 class TestSamplesCsv:
@@ -420,6 +624,18 @@ class TestSamplesCsv:
         else:
             with pytest.raises(FormatError, match="integer"):
                 ForestModel.from_json(p)
+
+    @pytest.mark.parametrize("field, value", [("n_trees", 2.5), ("n_trees", "3"),
+                                              ("bootstrap", "no"), ("min_samples_leaf", True)])
+    def test_model_json_bad_config_field(self, tmp_path, field, value):
+        model = fit_forest(*linear_benchmark(n=30, seed=2), ForestConfig(n_trees=2), seed=5)
+        p = tmp_path / "forest.json"
+        model.to_json(p)
+        doc = json.loads(p.read_text())
+        doc["config"][field] = value
+        p.write_text(json.dumps(doc))
+        with pytest.raises(SatfuseError, match=field):
+            ForestModel.from_json(p)
 
     def test_model_json_without_trees_is_format_error(self, tmp_path):
         p = tmp_path / "forest.json"

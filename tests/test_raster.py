@@ -300,9 +300,11 @@ class TestTranslatePixels:
 
     @pytest.mark.parametrize("dx, dy", [(1.5, 0), (0, -0.5), (np.nan, 0), (0, np.inf),
                                         (True, 0), (0, False), ("x", 0), (None, 0),
-                                        (np.float32(1.5), 0)])
+                                        (np.float32(1.5), 0), ("1", 0), (np.True_, 0),
+                                        (0, np.False_)])
     def test_non_integer_shift_refused(self, dx, dy):
-        # 1.5 used to escape as TypeError; nan and True returned a raster
+        # 1.5 used to escape as TypeError; nan and True returned a raster, and
+        # so did "1" and np.True_ (moved by one column)
         with pytest.raises(ValidationError, match="must be an integer"):
             translate_pixels(random_raster(0, 6, 6, 1), dx, dy)
 
@@ -314,7 +316,7 @@ class TestTranslatePixels:
             assert np.array_equal(out.values, want.values) and np.array_equal(out.mask, want.mask)
 
 
-BAD_FACTORS = [2.5, np.nan, np.inf, True, "x", None, np.float32(2.5)]
+BAD_FACTORS = [2.5, np.nan, np.inf, True, "x", None, np.float32(2.5), "2", np.True_]
 
 
 @pytest.mark.parametrize("op", [block_mean, upsample_bicubic])
@@ -322,7 +324,8 @@ class TestFactorChecked:
     @pytest.mark.parametrize("factor", BAD_FACTORS)
     def test_non_integer_factor_refused(self, op, factor):
         # upsample_bicubic(r, 2.5) used to return a 160-pixel raster from 64
-        # pixels; True and "x" escaped as TypeError, nan as ValueError
+        # pixels; True and "x" escaped as TypeError, nan as ValueError;
+        # block_mean(r, "2") returned a half-size raster
         with pytest.raises(ValidationError, match="factor must be an integer"):
             op(random_raster(0, 8, 8, 1), factor)
 

@@ -34,7 +34,7 @@ class TestSceneConfig:
         ("width", True), ("n_bands", "many"), ("smoothness", np.nan), ("smoothness", -1.0),
         ("noise_sigma", np.inf), ("gain", np.nan), ("offset", -np.inf), ("pixel_m", 0.0),
         ("pixel_m", np.inf), ("fwhm", 0.0), ("fwhm", np.nan), ("gain", True),
-        ("gain", 10**400), ("n_bands", 1),
+        ("gain", 10**400), ("n_bands", 1), ("width", "16"), ("n_endmembers", np.True_),
     ])
     def test_bad_field_refused(self, field, bad):
         # width=0 used to construct and warn in gen_hyper_scene, scale=0 gave
