@@ -8,15 +8,17 @@ node from the tree's own seeded stream, leaves hold target means.  All
 randomness derives from (seed, tree_index), so fits are reproducible and
 trees may be grown in parallel without changing the result.
 
-`fit_forest` grows its trees on every CPU this process may run on
-(`os.sched_getaffinity`; one where the OS cannot say).  With c usable CPUs
-the tree indices are cut into c contiguous chunks; the calling process grows
-the first chunk itself while c - 1 forked worker processes grow the others,
-and the trees are put back in index order, so the model, its JSON and every
-prediction are the same bytes for any c.  Growth stays serial, with no
-worker, when one CPU is usable, when there are fewer trees than CPUs, when
-the `fork` start method is missing, or when the caller is a daemonic process
-(a `multiprocessing.Pool` worker), which may not start children.  The
+`fit_forest` grows its trees on c processes, where c is the smallest of
+the CPUs this process may run on (`os.sched_getaffinity`; one where the OS
+cannot say), the number of trees, and two, the most that has been measured
+to pay off.  The tree indices are cut into c contiguous chunks; the calling
+process grows the first chunk itself while c - 1 forked worker processes
+grow the others, and the trees are put back in index order, so the model,
+its JSON and every prediction are the same bytes for any c.  Growth stays
+serial, with no worker, when c is 1, when the `fork` start method is
+missing, when the caller is a daemonic process (a `multiprocessing.Pool`
+worker), which may not start children, or when another Python thread is
+running, since a forked child could inherit a lock that thread holds.  The
 workers are joined before `fit_forest` returns or raises, and a worker's
 exception is raised in the caller.  Arguments are checked in the caller
 before any worker starts.
@@ -119,6 +121,11 @@ def extract_quadrat_features(r: Raster, quadrats: list[Quadrat]) -> np.ndarray:
 # CART regression trees
 
 
+# ForestConfig's integer fields: name, least value, whether None is allowed
+_INTEGER_FIELDS = (("n_trees", 1, False), ("max_features", 1, True),
+                   ("min_samples_leaf", 1, False), ("max_depth", 0, True))
+
+
 @dataclass
 class ForestConfig:
     n_trees: int = 500
@@ -129,8 +136,7 @@ class ForestConfig:
 
     def __post_init__(self):
         """Store every integer field as an `int`; a ConfigError names a bad field."""
-        for name, low, optional in (("n_trees", 1, False), ("max_features", 1, True),
-                                    ("min_samples_leaf", 1, False), ("max_depth", 0, True)):
+        for name, low, optional in _INTEGER_FIELDS:
             value = getattr(self, name)
             if value is None and optional:
                 continue
@@ -305,9 +311,17 @@ class ForestModel:
                 )
                 for t in doc["trees"]
             ]
+            config = {**doc["config"]}
+            # a digit string is an integer here, as in the seed and n_features fields
+            for name, _, _ in _INTEGER_FIELDS:
+                if config.get(name) is not None:
+                    try:
+                        config[name] = integer(config[name])
+                    except (TypeError, ValueError) as exc:
+                        raise ValueError(f"config field {name}: {exc}") from None
             return cls(
                 trees,
-                ForestConfig(**doc["config"]),
+                ForestConfig(**config),
                 integer(doc["seed"]),
                 integer(doc["n_features"]),
                 tuple(doc["target_range"]),
@@ -374,23 +388,45 @@ def _grow_chunk(X, y, cfg: ForestConfig, seed: int, first: int, stop: int) -> li
     return trees
 
 
+# The most processes, the caller included, that grow one forest.  Two were
+# measured to pay off, on a 2-vCPU host; more have not been measured.
+_MAX_PROCESSES = 2
+
+# CPython 3.12 and later warn at each os.fork in a process that runs more than
+# one thread.
+_FORK_WARNING = r"This process .*is multi-threaded, use of fork\(\) may lead to deadlocks"
+
+
 def _grow_trees(X, y, cfg: ForestConfig, seed: int) -> list[_Tree]:
     """Every tree of the forest, in index order, grown by the caller and forked workers."""
-    n_cpus = _usable_cpus()
-    if n_cpus < 2 or cfg.n_trees < n_cpus:
+    n_procs = min(_usable_cpus(), cfg.n_trees, _MAX_PROCESSES)
+    if n_procs < 2:
         return _grow_chunk(X, y, cfg, seed, 0, cfg.n_trees)
     import multiprocessing
-    # a daemonic process (a multiprocessing.Pool worker) may not start children
-    if "fork" not in multiprocessing.get_all_start_methods() or multiprocessing.current_process().daemon:
+    import threading
+    # a daemonic process (a multiprocessing.Pool worker) may not start children,
+    # and a child forked while another Python thread runs may inherit a lock
+    # that thread held (a stream's, say), which nothing would release
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon or threading.active_count() > 1):
         return _grow_chunk(X, y, cfg, seed, 0, cfg.n_trees)
+    import warnings
     from concurrent.futures import ProcessPoolExecutor
 
     # fork, not spawn: a spawned worker would import NumPy and satfuse afresh,
     # which costs more than a typical fit
-    edges = [cfg.n_trees * i // n_cpus for i in range(n_cpus + 1)]
-    with ProcessPoolExecutor(n_cpus - 1, mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = [pool.submit(_grow_chunk, X, y, cfg, seed, edges[i], edges[i + 1])
-                   for i in range(1, n_cpus)]
+    edges = [cfg.n_trees * i // n_procs for i in range(n_procs + 1)]
+    with ProcessPoolExecutor(n_procs - 1, mp_context=multiprocessing.get_context("fork")) as pool:
+        # A fork pool forks all its workers in the first submit, from this
+        # thread.  Any other thread is a native one that never enters Python,
+        # such as a BLAS worker (the bundled OpenBLAS stops its own before a
+        # fork; other builds may not).  A worker runs only `_grow_chunk` and
+        # the pool's queues, which were made here, so it takes no lock such a
+        # thread holds, and the warning about it is silenced for the submits.
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
+            futures = [pool.submit(_grow_chunk, X, y, cfg, seed, edges[i], edges[i + 1])
+                       for i in range(1, n_procs)]
         trees = _grow_chunk(X, y, cfg, seed, edges[0], edges[1])
         for future in futures:
             trees.extend(future.result())

@@ -3,6 +3,7 @@ import json
 import math
 import multiprocessing
 import os
+import threading
 import warnings
 from dataclasses import replace
 
@@ -507,6 +508,12 @@ def _log_growers(monkeypatch, path):
     monkeypatch.setattr(forest, "_tree_sample", logged)
 
 
+def _processes(monkeypatch, n):
+    """Let fit_forest use `n` processes: `n` usable CPUs and a cap of `n`."""
+    monkeypatch.setattr(forest, "_usable_cpus", lambda: n)
+    monkeypatch.setattr(forest, "_MAX_PROCESSES", n)
+
+
 class TestParallelGrowth:
     """fit_forest splits its trees between the caller and forked workers."""
 
@@ -515,29 +522,37 @@ class TestParallelGrowth:
     def test_trees_are_the_serial_bytes(self, monkeypatch, tmp_path, cpus, n_trees):
         X, y = tie_heavy(n=50, p=5, seed=4)
         cfg = ForestConfig(n_trees=n_trees, min_samples_leaf=2)
-        monkeypatch.setattr(forest, "_usable_cpus", lambda: 1)
+        _processes(monkeypatch, 1)
         want = fit_forest(X, y, cfg, seed=11)
         _log_growers(monkeypatch, tmp_path / "grown")
-        monkeypatch.setattr(forest, "_usable_cpus", lambda: cpus)
+        _processes(monkeypatch, cpus)
         got = fit_forest(X, y, cfg, seed=11)
         assert multiprocessing.active_children() == []
         assert forest_bytes(got) == forest_bytes(want)
         # the caller grows the first contiguous chunk, one worker each other chunk
-        workers = cpus if n_trees >= cpus else 1
-        chunks = [list(range(n_trees * i // workers, n_trees * (i + 1) // workers))
-                  for i in range(workers)]
+        procs = min(cpus, n_trees)
+        chunks = [list(range(n_trees * i // procs, n_trees * (i + 1) // procs))
+                  for i in range(procs)]
         grown = _growers(tmp_path / "grown")
         assert grown.pop(os.getpid()) == chunks[0]
         assert sorted(grown.values()) == chunks[1:]
+
+    def test_at_most_two_processes(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(forest, "_usable_cpus", lambda: 3)
+        _log_growers(monkeypatch, tmp_path / "grown")
+        fit_forest(*linear_benchmark(n=30), ForestConfig(n_trees=7), seed=0)
+        grown = _growers(tmp_path / "grown")
+        assert grown.pop(os.getpid()) == [0, 1, 2]
+        assert list(grown.values()) == [[3, 4, 5, 6]]
 
     @pytest.mark.parametrize("cpus", [2, 3])
     @pytest.mark.parametrize("n_trees", [2, 7])
     def test_cross_validation_is_the_serial_result(self, monkeypatch, cpus, n_trees):
         X, y = tie_heavy(n=60, p=6, seed=5)
         cfg = ForestConfig(n_trees=n_trees)
-        monkeypatch.setattr(forest, "_usable_cpus", lambda: 1)
+        _processes(monkeypatch, 1)
         want = cross_validate(X, y, k=4, cfg=cfg, seed=3)
-        monkeypatch.setattr(forest, "_usable_cpus", lambda: cpus)
+        _processes(monkeypatch, cpus)
         assert repr(cross_validate(X, y, k=4, cfg=cfg, seed=3)) == repr(want)
         assert multiprocessing.active_children() == []
 
@@ -553,7 +568,7 @@ class TestParallelGrowth:
             return grow(*args)
 
         monkeypatch.setattr(forest, "_grow_tree", failing)
-        monkeypatch.setattr(forest, "_usable_cpus", lambda: cpus)
+        _processes(monkeypatch, cpus)
         with pytest.raises(CoverageError, match=f"no tree in the {where}"):
             fit_forest(*linear_benchmark(n=30), ForestConfig(n_trees=6), seed=0)
         assert multiprocessing.active_children() == []
@@ -567,6 +582,41 @@ class TestParallelGrowth:
             cross_validate(X, y, k=3, cfg=ForestConfig(n_trees=4), seed=2)
             predict(model, X)
         assert multiprocessing.active_children() == []
+
+    def test_fork_warning_of_newer_pythons_is_silenced(self, monkeypatch):
+        # CPython 3.12+ warns like this at a fork while a native thread runs
+        fork = os.fork
+
+        def warning_fork():
+            pid = fork()
+            if pid:
+                warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() "
+                              "may lead to deadlocks in the child.", DeprecationWarning, stacklevel=2)
+            return pid
+
+        X, y = linear_benchmark(n=30, seed=6)
+        cfg = ForestConfig(n_trees=6)
+        want = fit_forest(X, y, cfg, seed=2)
+        monkeypatch.setattr(os, "fork", warning_fork)
+        _processes(monkeypatch, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fit_forest(X, y, cfg, seed=2)
+        assert forest_bytes(got) == forest_bytes(want)
+        assert multiprocessing.active_children() == []
+
+    def test_serial_while_another_thread_runs(self, monkeypatch, tmp_path):
+        _processes(monkeypatch, 2)
+        _log_growers(monkeypatch, tmp_path / "grown")
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        other.start()
+        try:
+            fit_forest(*linear_benchmark(n=30), ForestConfig(n_trees=4), seed=0)
+        finally:
+            stop.set()
+            other.join()
+        assert _growers(tmp_path / "grown") == {os.getpid(): [0, 1, 2, 3]}
 
     def test_serial_without_the_fork_start_method(self, monkeypatch, tmp_path):
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
@@ -625,8 +675,22 @@ class TestSamplesCsv:
             with pytest.raises(FormatError, match="integer"):
                 ForestModel.from_json(p)
 
-    @pytest.mark.parametrize("field, value", [("n_trees", 2.5), ("n_trees", "3"),
-                                              ("bootstrap", "no"), ("min_samples_leaf", True)])
+    def test_model_json_config_integers_may_be_digit_strings(self, tmp_path):
+        """The config's integer fields follow the same rule as seed and n_features."""
+        model = fit_forest(*linear_benchmark(n=30, seed=2), ForestConfig(n_trees=2), seed=5)
+        p = tmp_path / "forest.json"
+        model.to_json(p)
+        doc = json.loads(p.read_text())
+        doc["config"].update(n_trees="2", max_depth="4", min_samples_leaf=1.0)
+        p.write_text(json.dumps(doc))
+        config = ForestModel.from_json(p).config
+        assert (config.n_trees, config.max_depth, config.min_samples_leaf) == (2, 4, 1)
+        assert all(type(v) is int for v in (config.n_trees, config.max_depth, config.min_samples_leaf))
+
+    @pytest.mark.parametrize("field, value", [("n_trees", 2.5), ("n_trees", "3.5"),
+                                              ("max_depth", "deep"), ("max_features", [2]),
+                                              ("n_trees", 0), ("bootstrap", "no"),
+                                              ("min_samples_leaf", True)])
     def test_model_json_bad_config_field(self, tmp_path, field, value):
         model = fit_forest(*linear_benchmark(n=30, seed=2), ForestConfig(n_trees=2), seed=5)
         p = tmp_path / "forest.json"
