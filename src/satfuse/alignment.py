@@ -17,13 +17,13 @@ resampled or modified.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import AlignmentError, CoverageError, GeometryError, ValidationError
-from .raster import GeoGrid, Raster, _integer, _require_bands
+from .errors import (AlignmentError, CoverageError, GeometryError, ValidationError, parameter,
+                     real_number, whole_number)
+from .raster import GeoGrid, Raster, _require_bands
 
 __all__ = ["ShiftEstimate", "ScoreResult", "snap_to_grid", "score_shift", "register"]
 
@@ -67,8 +67,6 @@ class ShiftEstimate:
 
 
 def _int_ratio(a: float, b: float, what: str) -> int:
-    if not 0 < b < math.inf:
-        raise GeometryError(f"{what}: {b} is not a positive, finite pixel size")
     ratio = a / b
     r = round(ratio)
     if r < 1 or abs(ratio - r) > 1e-6 * max(1.0, abs(ratio)):
@@ -85,6 +83,8 @@ def snap_to_grid(fine: Raster, coarse_grid: GeoGrid, target_pixel: float) -> Ras
     input, and the extent is cropped to whole coarse pixels fully covered by
     valid fine data.
     """
+    target_pixel = parameter("target_pixel", target_pixel, real_number, lambda v: v > 0,
+                             "a positive, finite pixel size", GeometryError)
     rx = _int_ratio(coarse_grid.pixel_w, target_pixel, "coarse pixel width / target")
     ry = _int_ratio(coarse_grid.pixel_h, target_pixel, "coarse pixel height / target")
 
@@ -260,11 +260,8 @@ def _regress_multivariate(x: np.ndarray, y: np.ndarray, n: int) -> ScoreResult:
 
 def score_shift(fine: Raster, coarse: Raster, shift: tuple[int, int]) -> ScoreResult:
     """Score one candidate translation (fine-pixel offsets) of the fine image."""
-    try:
-        dx, dy = () if isinstance(shift, (str, bytes)) else shift
-    except (TypeError, ValueError):
-        raise ValidationError(f"shift must be a pair (dx, dy) of integers, got {shift!r}") from None
-    shift = (_integer("shift dx", dx), _integer("shift dy", dy))
+    shift = parameter("shift", shift, lambda s: tuple(map(whole_number, s)), lambda s: len(s) == 2,
+                      "a pair (dx, dy) of integers", ValidationError)
     result = _ScoreContext(fine, coarse).score(shift)
     if result is None:
         raise CoverageError(

@@ -1,5 +1,9 @@
-"""Exception hierarchy shared by all satfuse modules, plus the helpers file
-readers use to turn a parse failure into one of these errors."""
+"""Exception hierarchy shared by all satfuse modules, and the two rules for numbers.
+
+A file reader parses a field with `integer` or `finite`, which also take a digit
+string, inside `parse_errors`.  A library parameter goes through `parameter` with
+`whole_number` or `real_number`, which take a real number only (never a bool, a
+string or None) and raise the caller's SatfuseError subclass, naming the parameter."""
 
 import csv
 import math
@@ -117,6 +121,28 @@ def whole_number(value) -> int:
     if not isinstance(value, numbers.Real):
         raise TypeError(f"{value!r} is not a number")
     return integer(value)
+
+
+def real_number(value) -> float:
+    """`finite(value)` of a library parameter, which must be a real number: a
+    string or a NumPy boolean (not a `numbers.Real`) is a TypeError."""
+    if not isinstance(value, numbers.Real):
+        raise TypeError(f"{value!r} is not a number")
+    return finite(value)
+
+
+def parameter(name: str, value, convert, ok, rule: str, error):
+    """`convert(value)` of the library parameter `name`; an `error` naming the
+    parameter, the `rule` and `value` unless it converts and `ok` holds for
+    the result."""
+    try:
+        number = convert(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    else:
+        if ok(number):
+            return number
+    raise error(f"{name} must be {rule}, got {value!r}")
 
 
 def read_csv(path, columns, text):

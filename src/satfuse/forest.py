@@ -47,8 +47,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import (ConfigError, CoverageError, FormatError, PartitionError, SchemaError,
-                     ValidationError, integer, parse_errors, read_csv, whole_number)
-from .raster import Raster, _integer
+                     ValidationError, integer, parameter, parse_errors, read_csv, real_number,
+                     whole_number)
+from .raster import Raster
 
 __all__ = [
     "Quadrat",
@@ -78,10 +79,17 @@ class Quadrat:
     side: float = 0.5
 
     def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValidationError(f"quadrat {self.id!r}: coordinates must be finite")
-        if not 0 < self.side < math.inf:
-            raise ValidationError(f"quadrat {self.id!r}: side must be positive and finite")
+        x, y, side = self.x, self.y, self.side
+        # plain finite floats skip the general check: a map lattice builds thousands
+        if type(x) is type(y) is type(side) is float and (
+                math.isfinite(x) and math.isfinite(y) and 0 < side < math.inf):
+            return
+        for name, ok, rule in (("x", lambda v: True, "a finite number"),
+                               ("y", lambda v: True, "a finite number"),
+                               ("side", lambda v: v > 0, "a finite number > 0")):
+            value = parameter(f"quadrat {self.id!r} {name}", getattr(self, name), real_number,
+                              ok, rule, ValidationError)
+            object.__setattr__(self, name, value)
 
 
 def extract_quadrat_features(r: Raster, quadrats: list[Quadrat]) -> np.ndarray:
@@ -138,16 +146,10 @@ class ForestConfig:
         """Store every integer field as an `int`; a ConfigError names a bad field."""
         for name, low, optional in _INTEGER_FIELDS:
             value = getattr(self, name)
-            if value is None and optional:
-                continue
-            try:
-                number = whole_number(value)
-            except (TypeError, ValueError, OverflowError):
-                number = None
-            if number is None or number < low:
+            if value is not None or not optional:
                 rule = f"{'None or ' if optional else ''}an integer >= {low}"
-                raise ConfigError(f"{name} must be {rule}, got {value!r}")
-            setattr(self, name, number)
+                setattr(self, name, parameter(name, value, whole_number, lambda v: v >= low,
+                                              rule, ConfigError))
         if not isinstance(self.bootstrap, bool):
             raise ConfigError(f"bootstrap must be True or False, got {self.bootstrap!r}")
 
@@ -368,10 +370,8 @@ def _samples(X, y) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _seed(seed) -> int:
-    seed = _integer("seed", seed)
-    if seed < 0:
-        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
-    return seed
+    return parameter("seed", seed, whole_number, lambda v: v >= 0, "an integer >= 0",
+                     ValidationError)
 
 
 def _usable_cpus() -> int:
@@ -509,7 +509,7 @@ def cross_validate(
     """
     X, y = _samples(X, y)
     n = X.shape[0]
-    k = _integer("k", k)
+    k = parameter("k", k, whole_number, lambda v: True, "an integer", ValidationError)
     seed = _seed(seed)
     if k < 2 or k > n:
         raise PartitionError(f"cannot split {n} samples into {k} folds")

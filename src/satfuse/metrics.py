@@ -7,12 +7,11 @@ comparison reports the 240 dB cap with a flag instead of infinity.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import AlignmentError, CoverageError, ValidationError
+from .errors import AlignmentError, CoverageError, ValidationError, parameter, real_number
 from .raster import Raster
 
 __all__ = ["MetricsReport", "evaluate", "psnr_from_rmse", "PSNR_CAP", "PSNR_PEAK"]
@@ -27,8 +26,8 @@ def psnr_from_rmse(rmse: float) -> tuple[float, bool]:
 
     A negative, NaN or infinite RMSE is refused with a ValidationError.
     """
-    if not 0 <= rmse < math.inf:
-        raise ValidationError(f"rmse must be a finite, non-negative number, got {rmse}")
+    rmse = parameter("rmse", rmse, real_number, lambda v: v >= 0, "a finite number >= 0",
+                     ValidationError)
     if rmse < _RMSE_FLOOR:
         return PSNR_CAP, True
     return 20.0 * np.log10(PSNR_PEAK / rmse), False

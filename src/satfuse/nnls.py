@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SolverError, ValidationError
+from .errors import SolverError, ValidationError, parameter, real_number, whole_number
 
 __all__ = ["nnls", "kkt_residuals"]
 
@@ -77,8 +77,10 @@ def nnls(
     if not (np.isfinite(A).all() and np.isfinite(b).all()):
         raise ValidationError("A and b must hold finite numbers only")
     m, n = A.shape
-    if max_iter is None:
-        max_iter = 3 * n
+    tol = parameter("tol", tol, real_number, lambda v: v >= 0, "a finite number >= 0",
+                    ValidationError)
+    max_iter = parameter("max_iter", 3 * n if max_iter is None else max_iter, whole_number,
+                         lambda v: v >= 0, "None or an integer >= 0", ValidationError)
 
     AtA = A.T @ A
     Atb = A.T @ b

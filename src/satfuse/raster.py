@@ -24,12 +24,12 @@ names and wavelengths over through the same constructor.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import AlignmentError, DimensionError, ValidationError, whole_number
+from .errors import (AlignmentError, DimensionError, ValidationError, parameter, real_number,
+                     whole_number)
 
 __all__ = [
     "GeoGrid",
@@ -53,19 +53,13 @@ class GeoGrid:
     height: int
 
     def __post_init__(self):
-        for name in ("origin_x", "origin_y", "pixel_w", "pixel_h"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        for name in ("width", "height"):
-            object.__setattr__(self, name, int(getattr(self, name)))
-        if not (self.pixel_w > 0 and self.pixel_h > 0):
-            raise ValidationError("pixel sizes must be positive")
-        if not all(map(math.isfinite, (self.origin_x, self.origin_y, self.pixel_w, self.pixel_h))):
-            raise ValidationError(
-                f"grid origin ({self.origin_x}, {self.origin_y}) and pixel size "
-                f"{self.pixel_w} x {self.pixel_h} must be finite"
-            )
-        if self.width < 1 or self.height < 1:
-            raise ValidationError("grid must contain at least one pixel")
+        for names, convert, ok, rule in (
+                ("origin_x origin_y", real_number, lambda v: True, "finite"),
+                ("pixel_w pixel_h", real_number, lambda v: v > 0, "finite and > 0"),
+                ("width height", whole_number, lambda v: v >= 1, "an integer >= 1")):
+            for name in names.split():
+                value = parameter(name, getattr(self, name), convert, ok, rule, ValidationError)
+                object.__setattr__(self, name, value)
 
     @property
     def x_max(self) -> float:
@@ -191,14 +185,6 @@ def _require_bands(r: Raster):
         raise ValidationError("raster has no bands")
 
 
-def _integer(name: str, value) -> int:
-    """`errors.whole_number(value)`, or a ValidationError naming the parameter."""
-    try:
-        return whole_number(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
-
-
 def block_mean(r: Raster, factor: int) -> Raster:
     """Aggregate each factor x factor block of fine pixels into one coarse pixel.
 
@@ -207,9 +193,8 @@ def block_mean(r: Raster, factor: int) -> Raster:
     scales by `factor`, origin unchanged.
     """
     _require_bands(r)
-    factor = _integer("factor", factor)
-    if factor < 1:
-        raise ValidationError("factor must be a positive integer")
+    factor = parameter("factor", factor, whole_number, lambda v: v >= 1, "an integer >= 1",
+                       ValidationError)
     nb, h, w = r.shape
     if h % factor or w % factor:
         raise DimensionError(
@@ -259,9 +244,8 @@ def upsample_bicubic(r: Raster, factor: int) -> Raster:
     invalid.
     """
     _require_bands(r)
-    factor = _integer("factor", factor)
-    if factor < 1:
-        raise ValidationError("factor must be a positive integer")
+    factor = parameter("factor", factor, whole_number, lambda v: v >= 1, "an integer >= 1",
+                       ValidationError)
     if factor == 1:
         return r.copy()
     nb, h, w = r.shape
@@ -308,7 +292,8 @@ def translate_pixels(r: Raster, dx: int, dy: int) -> Raster:
     larger rows.  Pixels rolled in from outside the footprint are invalid.
     """
     _require_bands(r)
-    dx, dy = _integer("dx", dx), _integer("dy", dy)
+    dx, dy = (parameter(name, v, whole_number, lambda v: True, "an integer", ValidationError)
+              for name, v in (("dx", dx), ("dy", dy)))
     nb, h, w = r.shape
     if abs(dx) >= w or abs(dy) >= h:
         raise DimensionError("translation exceeds raster extent")

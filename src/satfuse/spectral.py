@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SchemaError, ValidationError, finite, parse_errors, read_csv
+from .errors import (DomainError, SchemaError, ValidationError, finite, parameter, parse_errors,
+                     read_csv, real_number, whole_number)
 from .nnls import nnls
 from .raster import Raster
 
@@ -127,8 +128,8 @@ class HyperBandSpec:
             raise ValidationError("centers must be a 1-D array")
         if not (np.all(np.diff(self.centers) > 0) and np.isfinite(self.centers).all()):
             raise ValidationError("band centers must be finite and strictly increasing")
-        if not 0 < self.fwhm < math.inf:
-            raise ValidationError("fwhm must be positive and finite")
+        object.__setattr__(self, "fwhm", parameter("fwhm", self.fwhm, real_number, lambda v: v > 0,
+                                                   "a finite number > 0", ValidationError))
 
     @property
     def n_bands(self) -> int:
@@ -158,13 +159,17 @@ def evenly_spaced_camera(n_bands: int, fwhm: float | None = None) -> HyperBandSp
     neighboring responses overlap smoothly (and to 6 nm for the full
     269-band layout, matching :func:`default_camera`).
     """
-    if n_bands < 2:
-        raise ValidationError("need at least 2 camera bands")
+    n_bands = parameter("n_bands", n_bands, whole_number, lambda v: v >= 2, "an integer >= 2",
+                        ValidationError)
     lo, hi = CAMERA_RANGE_NM
     step = (hi - lo) / (n_bands - 1)
     if fwhm is None:
         fwhm = 6.0 if n_bands == 269 else 1.2 * step
-    return HyperBandSpec(lo + step * np.arange(n_bands), fwhm)
+    try:
+        centers = lo + step * np.arange(n_bands)
+    except (MemoryError, ValueError):  # NumPy's "Maximum allowed size exceeded"
+        raise ValidationError(f"{n_bands} camera band centers do not fit in memory") from None
+    return HyperBandSpec(centers, fwhm)
 
 
 def gaussian_design_matrix(spec: HyperBandSpec, grid: np.ndarray) -> np.ndarray:

@@ -21,7 +21,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .bsf import read_block, read_framed, write_framed
-from .errors import ConfigError, CorruptionError, ShapeError, finite, integer, parse_errors
+from .errors import (ConfigError, CorruptionError, ShapeError, finite, integer, parameter,
+                     parse_errors, real_number, whole_number)
 from .raster import Raster
 
 __all__ = [
@@ -54,18 +55,15 @@ class ArchConfig:
     name: str = "custom"
 
     def __post_init__(self):
-        object.__setattr__(self, "layers", tuple(tuple(l) for l in self.layers))
-        if len(self.layers) < 2:
-            raise ConfigError("need at least 2 conv layers")
-        if self.in_channels < 1 or self.out_channels < 1:
-            raise ConfigError("channel counts must be positive")
-        if not math.isfinite(self.slope):
-            raise ConfigError(f"slope must be finite, got {self.slope}")
-        for k, f in self.layers:
-            if k < 1 or k % 2 == 0:
-                raise ConfigError(f"kernel size {k} must be odd and positive")
-            if f < 1:
-                raise ConfigError("filter counts must be positive")
+        for names, convert, ok, rule in (
+                ("in_channels out_channels", whole_number, lambda v: v >= 1, "an integer >= 1"),
+                ("layers", lambda ls: tuple((whole_number(k), whole_number(f)) for k, f in ls),
+                 lambda ls: len(ls) >= 2 and all(k >= 1 and k % 2 and f >= 1 for k, f in ls),
+                 "two or more (kernel, filters) pairs of integers, odd kernels >= 1, filters >= 1"),
+                ("slope", real_number, lambda v: True, "a finite number")):
+            for name in names.split():
+                value = parameter(name, getattr(self, name), convert, ok, rule, ConfigError)
+                object.__setattr__(self, name, value)
         if self.layers[-1][1] != self.out_channels:
             raise ConfigError(
                 f"final layer has {self.layers[-1][1]} filters, expected {self.out_channels}"
@@ -139,6 +137,9 @@ class SrcnnModel:
 
 def build_model(arch: ArchConfig, seed: int = 0) -> SrcnnModel:
     """He-uniform initialization, deterministic for a given seed."""
+    if not isinstance(arch, ArchConfig):
+        raise ConfigError(f"arch must be an ArchConfig, got {arch!r}")
+    seed = parameter("seed", seed, whole_number, lambda v: v >= 0, "an integer >= 0", ConfigError)
     rng = np.random.default_rng(seed)
     weights = []
     for shape in arch.weight_shapes:
@@ -488,6 +489,10 @@ def infer_tiled(
     wherever the overlap is at least the receptive-field radius.  The input
     mask propagates unchanged to the output.
     """
+    if not isinstance(model, SrcnnModel):
+        raise ConfigError(f"model must be an SrcnnModel, got {model!r}")
+    tile, overlap = (parameter(name, v, whole_number, lambda v: v >= 0, "an integer >= 0",
+                               ConfigError) for name, v in (("tile", tile), ("overlap", overlap)))
     if inputs.n_bands != model.arch.in_channels:
         raise ShapeError(
             f"raster has {inputs.n_bands} bands, network expects {model.arch.in_channels}"

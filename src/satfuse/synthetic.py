@@ -17,7 +17,8 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from .bsf import read_bsf, write_bsf
-from .errors import GeometryError, ValidationError, finite, parse_errors, whole_number
+from .errors import (GeometryError, ValidationError, parameter, parse_errors, real_number,
+                     whole_number)
 from .raster import (
     GeoGrid,
     Raster,
@@ -71,31 +72,23 @@ class SceneConfig:
     endmember_seed: int | None = None
 
     def __post_init__(self):
-        for name in ("width", "height", "scale", "n_endmembers"):
-            self._check(name, whole_number, lambda v: v >= 1, "an integer >= 1")
-        self._check("n_bands", whole_number, lambda v: v >= 2, "an integer >= 2")
-        for name in ("smoothness", "noise_sigma"):
-            self._check(name, finite, lambda v: v >= 0, "a finite number >= 0")
-        for name in ("gain", "offset"):
-            self._check(name, finite, lambda v: True, "a finite number")
-        self._check("pixel_m", finite, lambda v: v > 0, "a finite number > 0")
-        if self.fwhm is not None:
-            self._check("fwhm", finite, lambda v: v > 0, "None or a finite number > 0")
+        for names, convert, ok, rule in (
+                ("seed endmember_seed", whole_number, lambda v: v >= 0, "an integer >= 0"),
+                ("width height scale n_endmembers", whole_number, lambda v: v >= 1,
+                 "an integer >= 1"),
+                ("n_bands", whole_number, lambda v: v >= 2, "an integer >= 2"),
+                ("smoothness noise_sigma", real_number, lambda v: v >= 0, "a finite number >= 0"),
+                ("gain offset", real_number, lambda v: True, "a finite number"),
+                ("pixel_m fwhm", real_number, lambda v: v > 0, "a finite number > 0"),
+                ("shift", lambda s: tuple(map(whole_number, s)), lambda s: len(s) == 2,
+                 "a pair of integers")):
+            for name in names.split():
+                value = getattr(self, name)
+                if value is not None or name not in ("fwhm", "endmember_seed"):
+                    value = parameter(name, value, convert, ok, rule, ValidationError)
+                    object.__setattr__(self, name, value)
         if self.width % self.scale or self.height % self.scale:
             raise ValidationError("width and height must be divisible by scale")
-        object.__setattr__(self, "shift", (int(self.shift[0]), int(self.shift[1])))
-
-    def _check(self, name: str, convert, ok, rule: str):
-        """Store field `name` as `convert` gives it; a ValidationError naming
-        the `rule` unless it converts and `ok` holds for the result."""
-        value = getattr(self, name)
-        try:
-            number = convert(value)
-        except (TypeError, ValueError, OverflowError):
-            number = None
-        if number is None or not ok(number):
-            raise ValidationError(f"{name} must be {rule}, got {value!r}")
-        object.__setattr__(self, name, number)
 
     def camera(self):
         return evenly_spaced_camera(self.n_bands, self.fwhm)
@@ -109,6 +102,11 @@ class SceneConfig:
             width=self.width,
             height=self.height,
         )
+
+
+def _require_scene_config(cfg):
+    if not isinstance(cfg, SceneConfig):
+        raise ValidationError(f"cfg must be a SceneConfig, got {cfg!r}")
 
 
 def _endmember_spectra(rng, n_endmembers: int, centers: np.ndarray) -> np.ndarray:
@@ -155,6 +153,7 @@ def gen_hyper_scene(cfg: SceneConfig, return_parts: bool = False):
     float32: the bytes equal that einsum's, clipped and cast.  (A BLAS
     product fuses multiply and add and can differ in the last bit.)
     """
+    _require_scene_config(cfg)
     camera = cfg.camera()
     em_seed = cfg.seed if cfg.endmember_seed is None else cfg.endmember_seed
     E = _endmember_spectra(
@@ -183,6 +182,7 @@ def degrade(fine: Raster, cfg: SceneConfig) -> Raster:
     and clip to [0, 1].  Coarse cells whose (shifted) source block falls
     partly outside the fine footprint are masked invalid.
     """
+    _require_scene_config(cfg)
     S = cfg.scale
     _, H, W = fine.shape
     tx, ty = cfg.shift
@@ -220,8 +220,9 @@ def make_fusion_dataset(cfg: SceneConfig, n_scenes: int, out_dir) -> dict:
     bicubic upsampling back to the fine grid.  The manifest assigns scenes to
     train/val/test.
     """
-    if n_scenes < 3:
-        raise ValidationError("need at least 3 scenes to form train/val/test splits")
+    _require_scene_config(cfg)
+    n_scenes = parameter("n_scenes", n_scenes, whole_number, lambda v: v >= 3,
+                         "an integer >= 3, for train, val and test splits", ValidationError)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

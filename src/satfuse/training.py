@@ -14,13 +14,12 @@ AVX-512) can end in other last bits of losses and weights.
 from __future__ import annotations
 
 import logging
-import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, DataError, ShapeError, parameter, real_number, whole_number
 from .raster import Raster
 from .srcnn import ArchConfig, _backward_batch, _forward_batch, _masked_error, build_model
 
@@ -47,18 +46,18 @@ class TrainConfig:
     split: str | None = None       # free-form split description, recorded only
 
     def __post_init__(self):
-        if self.scale < 1 or self.patch_coarse < 1:
-            raise ConfigError("scale and patch_coarse must be positive")
-        if self.patch_stride_coarse is not None and self.patch_stride_coarse < 1:
-            raise ConfigError("patch_stride_coarse must be positive")
-        if not (0.0 < self.validation_fraction < 1.0):
-            raise ConfigError("validation_fraction must lie strictly between 0 and 1")
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ConfigError("batch_size and epochs must be positive")
-        if not (0 < self.learning_rate < math.inf and 0 < self.eps < math.inf
-                and 0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ConfigError("learning_rate and eps must be positive and finite, "
-                              "beta1 and beta2 in [0, 1)")
+        """Store every number as an `int` or a `float`; a ConfigError names a bad field."""
+        for names, convert, ok, rule in (
+                ("scale patch_coarse patch_stride_coarse batch_size epochs", whole_number,
+                 lambda v: v >= 1, "an integer >= 1"),
+                ("seed", whole_number, lambda v: v >= 0, "an integer >= 0"),
+                ("learning_rate eps", real_number, lambda v: v > 0, "a finite number > 0"),
+                ("beta1 beta2", real_number, lambda v: 0 <= v < 1, "a number in [0, 1)"),
+                ("validation_fraction", real_number, lambda v: 0 < v < 1, "a number in (0, 1)")):
+            for name in names.split():
+                value = getattr(self, name)
+                if value is not None or name != "patch_stride_coarse":
+                    setattr(self, name, parameter(name, value, convert, ok, rule, ConfigError))
 
     @property
     def patch_side(self) -> int:
