@@ -21,9 +21,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (AlignmentError, CoverageError, GeometryError, ValidationError, parameter,
-                     real_number, whole_number)
-from .raster import GeoGrid, Raster, _require_bands
+from .errors import (AlignmentError, CoverageError, GeometryError, ValidationError, instance,
+                     parameter, real_number, whole_number)
+from .raster import GeoGrid, Raster, _require_raster
 
 __all__ = ["ShiftEstimate", "ScoreResult", "snap_to_grid", "score_shift", "register"]
 
@@ -83,6 +83,8 @@ def snap_to_grid(fine: Raster, coarse_grid: GeoGrid, target_pixel: float) -> Ras
     input, and the extent is cropped to whole coarse pixels fully covered by
     valid fine data.
     """
+    _require_raster("fine", fine)
+    instance("coarse_grid", coarse_grid, GeoGrid, ValidationError)
     target_pixel = parameter("target_pixel", target_pixel, real_number, lambda v: v > 0,
                              "a positive, finite pixel size", GeometryError)
     rx = _int_ratio(coarse_grid.pixel_w, target_pixel, "coarse pixel width / target")
@@ -179,8 +181,8 @@ class _ScoreContext:
     """
 
     def __init__(self, fine: Raster, coarse: Raster):
-        _require_bands(fine)
-        _require_bands(coarse)
+        _require_raster("fine", fine)
+        _require_raster("coarse", coarse)
         sx = _int_ratio(coarse.grid.pixel_w, fine.grid.pixel_w, "pixel width ratio")
         sy = _int_ratio(coarse.grid.pixel_h, fine.grid.pixel_h, "pixel height ratio")
         offx = (coarse.grid.origin_x - fine.grid.origin_x) / fine.grid.pixel_w

@@ -32,8 +32,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import CorruptionError, FormatError, ValidationError, finite, parse_errors
-from .raster import GeoGrid, Raster
+from .errors import CorruptionError, FormatError, finite, parse_errors
+from .raster import GeoGrid, Raster, _require_raster
 
 MAGIC = b"BSF1"
 
@@ -106,8 +106,7 @@ def read_block(fh, out):
 
 def write_bsf(r: Raster, path) -> None:
     """Serialize a raster to `path` in Band-Stack Format."""
-    if r.n_bands == 0:
-        raise ValidationError("cannot serialize a raster with no bands")
+    _require_raster("r", r)
     bands = []
     for i, name in enumerate(r.band_names):
         entry = {"name": name}

@@ -1,14 +1,24 @@
-"""Exception hierarchy shared by all satfuse modules, and the two rules for numbers.
+"""Exception hierarchy shared by all satfuse modules, and the rules for arguments.
 
 A file reader parses a field with `integer` or `finite`, which also take a digit
-string, inside `parse_errors`.  A library parameter goes through `parameter` with
-`whole_number` or `real_number`, which take a real number only (never a bool, a
-string or None) and raise the caller's SatfuseError subclass, naming the parameter."""
+string, inside `parse_errors`.  A library argument is checked once, where the
+public call receives it, and raises the caller's SatfuseError subclass naming
+it: a number through `parameter` with `whole_number` or `real_number` (a real
+number only, never a bool, a string or None), an array through `array` (an
+`np.asarray` conversion with an optional rank and finiteness, whose message
+never prints the values), an object through `instance` and a list of objects
+or names through `instances`.  `raster._require_raster` adds the raster rule:
+a Raster with at least one band.  `allocating` turns NumPy's refusal to
+allocate a size (a MemoryError, or a ValueError past its limits) into a
+ValidationError."""
 
 import csv
 import math
 import numbers
+import reprlib
 from contextlib import contextmanager
+
+import numpy as np
 
 
 class SatfuseError(Exception):
@@ -82,6 +92,17 @@ class PartitionError(SatfuseError):
 
 
 @contextmanager
+def allocating(what: str):
+    """Re-raise NumPy's refusal to allocate `what` inside the block, a
+    MemoryError or a ValueError for a size past NumPy's limits, as a
+    ValidationError."""
+    try:
+        yield
+    except (MemoryError, ValueError):
+        raise ValidationError(f"cannot allocate {what}: too large for memory") from None
+
+
+@contextmanager
 def parse_errors(source):
     """Re-raise a failure to parse `source` inside the block as a FormatError.
 
@@ -142,7 +163,51 @@ def parameter(name: str, value, convert, ok, rule: str, error):
     else:
         if ok(number):
             return number
-    raise error(f"{name} must be {rule}, got {value!r}")
+    raise error(f"{name} must be {rule}, got {reprlib.repr(value)}")
+
+
+def instance(name: str, value, kind, error, rule: str | None = None):
+    """`value` if the library argument `name` is an instance of `kind`; an
+    `error` naming the argument and `rule` (by default "a <kind>") otherwise."""
+    article = "an" if kind.__name__[0] in "AEIOU" else "a"
+    return parameter(name, value, lambda v: v, lambda v: isinstance(v, kind),
+                     rule or f"{article} {kind.__name__}", error)
+
+
+def instances(name: str, value, kind, error) -> list:
+    """A fresh list of the items of the library argument `name`, which must be
+    a list or a tuple of `kind` instances; an `error` naming it otherwise."""
+    return parameter(name, value, list,
+                     lambda items: isinstance(value, (list, tuple))
+                     and all(isinstance(v, kind) for v in items),
+                     f"a list or tuple of {kind.__name__}", error)
+
+
+def array(name: str, value, error, ndim: int | None = None, dtype=np.float64,
+          finite: bool = False) -> np.ndarray:
+    """`np.asarray(value)` of the library argument `name` as `dtype`, not copied
+    when it already has that dtype.  Its items must be booleans or real
+    numbers, with `ndim` axes when `ndim` is given and finite when `finite`
+    is set; anything else is an `error` naming the argument and the rank,
+    which never prints the values.  A value past the range of a narrower
+    `dtype` becomes infinite, as NumPy's cast makes it, without a warning."""
+    rule = (f"{name} must be {'an array' if ndim is None else f'a {ndim}-D array'} "
+            f"of {'finite ' if finite else ''}numbers")
+    try:
+        a = np.asarray(value)
+    except (TypeError, ValueError, OverflowError):  # ragged nesting
+        a = None
+    if a is None or a.dtype.kind not in "biuf":
+        got = (f"an array of {a.dtype}" if isinstance(value, np.ndarray)
+               else "None" if value is None else type(value).__name__)
+        raise error(f"{rule}, got {got}")
+    if ndim is not None and a.ndim != ndim:
+        raise error(f"{rule}, got a {a.ndim}-D array")
+    with np.errstate(over="ignore"):
+        a = a.astype(dtype, copy=False)
+    if finite and not np.isfinite(a).all():
+        raise error(f"{rule}, got a value that is not finite")
+    return a
 
 
 def read_csv(path, columns, text):

@@ -47,9 +47,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import (ConfigError, CoverageError, FormatError, PartitionError, SchemaError,
-                     ValidationError, integer, parameter, parse_errors, read_csv, real_number,
-                     whole_number)
-from .raster import Raster
+                     ValidationError, array, instance, instances, integer, parameter,
+                     parse_errors, read_csv, real_number, whole_number)
+from .raster import Raster, _require_raster
 
 __all__ = [
     "Quadrat",
@@ -98,6 +98,8 @@ def extract_quadrat_features(r: Raster, quadrats: list[Quadrat]) -> np.ndarray:
     Returns an array of shape (len(quadrats), n_bands).  Quadrats containing
     no valid pixel are collected and reported together in a CoverageError.
     """
+    _require_raster("r", r)
+    quadrats = instances("quadrats", quadrats, Quadrat, ValidationError)
     g = r.grid
     vals = r.values.astype(np.float64)
     feats = np.empty((len(quadrats), r.n_bands))
@@ -150,8 +152,7 @@ class ForestConfig:
                 rule = f"{'None or ' if optional else ''}an integer >= {low}"
                 setattr(self, name, parameter(name, value, whole_number, lambda v: v >= low,
                                               rule, ConfigError))
-        if not isinstance(self.bootstrap, bool):
-            raise ConfigError(f"bootstrap must be True or False, got {self.bootstrap!r}")
+        instance("bootstrap", self.bootstrap, bool, ConfigError, "True or False")
 
 
 @dataclass
@@ -341,31 +342,18 @@ def fit_forest(X: np.ndarray, y: np.ndarray, cfg: ForestConfig | None = None, se
         raise ValidationError("need at least 2 samples and one feature")
     if cfg is None:
         cfg = ForestConfig()
-    elif not isinstance(cfg, ForestConfig):
-        raise ConfigError(f"cfg must be a ForestConfig or None, got {cfg!r}")
+    instance("cfg", cfg, ForestConfig, ConfigError, "a ForestConfig or None")
     seed = _seed(seed)
     trees = _grow_trees(X, y, cfg, seed)
     return ForestModel(trees, cfg, seed, X.shape[1], (float(y.min()), float(y.max())))
 
 
-def _floats(name: str, value) -> np.ndarray:
-    """`value` as a float64 array, or a ValidationError naming the argument."""
-    try:
-        return np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{name} must be an array of numbers") from None
-
-
 def _samples(X, y) -> tuple[np.ndarray, np.ndarray]:
     """Features `X` (2-D) and one target per row (`y`, raveled), all finite, as float64."""
-    X = _floats("X", X)
-    y = _floats("y", y).ravel()
-    if X.ndim != 2:
-        raise ValidationError(f"X must be 2-D, got {X.ndim}-D")
+    X = array("X", X, ValidationError, ndim=2, finite=True)
+    y = array("y", y, ValidationError, finite=True).ravel()
     if y.shape[0] != X.shape[0]:
         raise ValidationError(f"{y.shape[0]} targets for {X.shape[0]} rows")
-    if not np.isfinite(X).all() or not np.isfinite(y).all():
-        raise ValidationError("features and targets must be finite")
     return X, y
 
 
@@ -441,7 +429,8 @@ def _tree_sample(seed: int, t: int, n: int, bootstrap: bool):
 
 def predict(model: ForestModel, features: np.ndarray) -> float | np.ndarray:
     """Mean over tree predictions; a 1-D input returns a scalar."""
-    X = _floats("features", features)
+    instance("model", model, ForestModel, ConfigError)
+    X = array("features", features, ValidationError, finite=True)
     if X.ndim not in (1, 2):
         raise SchemaError(f"features must be 1-D or 2-D, got {X.ndim}-D")
     single = X.ndim == 1
@@ -451,8 +440,6 @@ def predict(model: ForestModel, features: np.ndarray) -> float | np.ndarray:
         raise SchemaError(
             f"feature length {X.shape[1]} does not match model ({model.n_features})"
         )
-    if not np.isfinite(X).all():
-        raise ValidationError("features must be finite")
     acc = np.zeros(X.shape[0])
     for tree in model.trees:
         acc += tree.predict(X)
@@ -466,6 +453,7 @@ def oob_r2(model: ForestModel, X: np.ndarray, y: np.ndarray) -> float:
     Each tree's bootstrap draw is regenerated from the model seed exactly as
     `fit_forest` drew it, so a model read back from JSON gives the same value.
     """
+    instance("model", model, ForestModel, ConfigError)
     X, y = _samples(X, y)
     if X.shape[1] != model.n_features:
         raise SchemaError(f"features must have {model.n_features} columns, got {X.shape[1]}")
@@ -560,7 +548,7 @@ def load_quadrats_csv(path):
 
 
 def save_samples_csv(path, quadrats, targets, features, band_names) -> None:
-    features = np.asarray(features)
+    features = array("features", features, ValidationError, ndim=2)
     if features.shape != (len(quadrats), len(band_names)):
         raise ValidationError("features shape must be (n_quadrats, n_bands)")
     with open(path, "w", newline="") as fh:

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import AlignmentError, CoverageError, ValidationError, parameter, real_number
-from .raster import Raster
+from .raster import Raster, _require_raster
 
 __all__ = ["MetricsReport", "evaluate", "psnr_from_rmse", "PSNR_CAP", "PSNR_PEAK"]
 
@@ -49,6 +49,8 @@ class MetricsReport:
 
 def evaluate(pred: Raster, truth: Raster, per_band: bool = False) -> MetricsReport:
     """RMSE / MAE / PSNR between two rasters over jointly valid pixels."""
+    _require_raster("pred", pred)
+    _require_raster("truth", truth)
     if pred.grid != truth.grid:
         raise AlignmentError("prediction and truth are on different grids")
     if pred.n_bands != truth.n_bands:

@@ -36,9 +36,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SolverError, ValidationError, parameter, real_number, whole_number
+from .errors import SolverError, ValidationError, array, parameter, real_number, whole_number
 
 __all__ = ["nnls", "kkt_residuals"]
+
+
+def _system(A, b) -> tuple[np.ndarray, np.ndarray]:
+    """`A` as a float64 matrix with at least one column and `b` raveled to one
+    value per row of `A`, both finite."""
+    A = array("A", A, ValidationError, ndim=2, finite=True)
+    b = array("b", b, ValidationError, finite=True).ravel()
+    if A.shape[1] < 1:
+        raise ValidationError("A must have at least one column")
+    if b.shape[0] != A.shape[0]:
+        raise ValidationError(f"b length {b.shape[0]} does not match {A.shape[0]} rows")
+    return A, b
 
 
 def kkt_residuals(A: np.ndarray, b: np.ndarray, x: np.ndarray) -> tuple[float, float]:
@@ -48,6 +60,10 @@ def kkt_residuals(A: np.ndarray, b: np.ndarray, x: np.ndarray) -> tuple[float, f
     max |g_j| over x_j > 0 and ``feasck`` is min g_j over x_j == 0
     (so a valid solution has small stationarity and feasck >= -tolerance).
     """
+    A, b = _system(A, b)
+    x = array("x", x, ValidationError, ndim=1, finite=True)
+    if x.shape[0] != A.shape[1]:
+        raise ValidationError(f"x length {x.shape[0]} does not match {A.shape[1]} columns")
     g = A.T @ (A @ x - b)
     pos = x > 0
     stat = float(np.max(np.abs(g[pos]))) if pos.any() else 0.0
@@ -68,14 +84,7 @@ def nnls(
     count; exceeding it raises :class:`SolverError` carrying the best
     iterate found so far in ``best_x``.
     """
-    A = np.asarray(A, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if A.ndim != 2 or A.shape[1] < 1:
-        raise ValidationError("A must be a 2-D matrix with at least one column")
-    if b.shape[0] != A.shape[0]:
-        raise ValidationError(f"b length {b.shape[0]} does not match {A.shape[0]} rows")
-    if not (np.isfinite(A).all() and np.isfinite(b).all()):
-        raise ValidationError("A and b must hold finite numbers only")
+    A, b = _system(A, b)
     m, n = A.shape
     tol = parameter("tol", tol, real_number, lambda v: v >= 0, "a finite number >= 0",
                     ValidationError)

@@ -28,8 +28,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (AlignmentError, DimensionError, ValidationError, parameter, real_number,
-                     whole_number)
+from .errors import (AlignmentError, DimensionError, ValidationError, allocating, array,
+                     instance, instances, parameter, real_number, whole_number)
 
 __all__ = [
     "GeoGrid",
@@ -108,7 +108,8 @@ class Raster:
         bool array (height, width); True marks valid pixels.  Any pixel with a
         non-finite value in any band is forced invalid at construction.
     band_names
-        one name per band plane.
+        one name per band plane, a list (a list or tuple of strings at
+        construction).
     wavelengths
         float64 array (bands,) of band-center wavelengths in nm; NaN marks a
         band without one (None at construction: all NaN).
@@ -121,28 +122,28 @@ class Raster:
     wavelengths: np.ndarray = None
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float32)
-        if self.values.ndim != 3:
-            raise ValidationError("values must have shape (bands, height, width)")
+        instance("grid", self.grid, GeoGrid, ValidationError)
+        self.values = array("values", self.values, ValidationError, ndim=3, dtype=np.float32)
         nb, h, w = self.values.shape
         if (h, w) != (self.grid.height, self.grid.width):
             raise ValidationError(
                 f"band planes {h}x{w} do not match grid {self.grid.height}x{self.grid.width}"
             )
-        self.band_names = list(self.band_names)
+        self.band_names = instances("band_names", self.band_names, str, ValidationError)
         if len(self.band_names) != nb:
             raise ValidationError("band_names length must equal band count")
         if self.mask is None:
             self.mask = np.ones((h, w), dtype=bool)
         else:
-            self.mask = np.array(self.mask, dtype=bool)
+            self.mask = array("mask", self.mask, ValidationError, ndim=2, dtype=bool).copy()
             if self.mask.shape != (h, w):
                 raise ValidationError("mask shape must match grid")
         finite = np.empty((h, w), dtype=bool)
         for band in self.values:  # a band at a time: no cube-sized temporary
             self.mask &= np.isfinite(band, out=finite)
         wl = self.wavelengths
-        self.wavelengths = np.full(nb, np.nan) if wl is None else np.array(wl, dtype=np.float64)
+        self.wavelengths = (np.full(nb, np.nan) if wl is None
+                            else array("wavelengths", wl, ValidationError, ndim=1).copy())
         if self.wavelengths.shape != (nb,):
             raise ValidationError("wavelengths length must equal band count")
 
@@ -180,9 +181,12 @@ class Raster:
         return out
 
 
-def _require_bands(r: Raster):
-    if r.n_bands == 0:
-        raise ValidationError("raster has no bands")
+def _require_raster(name: str, r, error=ValidationError) -> Raster:
+    """The library argument `name` if it is a Raster with at least one band;
+    an `error` naming it otherwise."""
+    if instance(name, r, Raster, error).n_bands == 0:
+        raise error(f"{name} has no bands")
+    return r
 
 
 def block_mean(r: Raster, factor: int) -> Raster:
@@ -192,7 +196,7 @@ def block_mean(r: Raster, factor: int) -> Raster:
     invalid when fewer than half the block's pixels are valid.  Pixel size
     scales by `factor`, origin unchanged.
     """
-    _require_bands(r)
+    _require_raster("r", r)
     factor = parameter("factor", factor, whole_number, lambda v: v >= 1, "an integer >= 1",
                        ValidationError)
     nb, h, w = r.shape
@@ -241,18 +245,18 @@ def upsample_bicubic(r: Raster, factor: int) -> Raster:
 
     Output dimensions are the input dimensions times `factor`.  An output
     pixel is invalid when any input pixel of its (clamped) 4x4 support is
-    invalid.
+    invalid.  An output too large for NumPy or for memory is a ValidationError.
     """
-    _require_bands(r)
+    _require_raster("r", r)
     factor = parameter("factor", factor, whole_number, lambda v: v >= 1, "an integer >= 1",
                        ValidationError)
     if factor == 1:
         return r.copy()
     nb, h, w = r.shape
+    with allocating(f"a {h * factor}x{w * factor} upsampled raster"):
+        col_idx, col_w = _bicubic_axis_taps(w, factor)
+        row_idx, row_w = _bicubic_axis_taps(h, factor)
     vals = r.filled_values()
-
-    col_idx, col_w = _bicubic_axis_taps(w, factor)
-    row_idx, row_w = _bicubic_axis_taps(h, factor)
 
     # horizontal pass: (nb, h, w) -> (nb, h, w*factor)
     gathered = vals[:, :, col_idx]                      # (nb, h, 4, w_out)
@@ -274,12 +278,10 @@ def stack_bands(*rasters: Raster) -> Raster:
     """
     if not rasters:
         raise ValidationError("no rasters to stack")
-    grid = rasters[0].grid
-    for r in rasters:
-        _require_bands(r)
-        if r.grid != grid:
-            raise AlignmentError(f"grid mismatch: {grid} vs {r.grid}")
-    return Raster(grid, np.concatenate([r.values for r in rasters]),
+    for i, r in enumerate(rasters):  # raster 0 is checked before its grid is read
+        if _require_raster(f"raster {i}", r).grid != rasters[0].grid:
+            raise AlignmentError(f"grid mismatch: {rasters[0].grid} vs {r.grid}")
+    return Raster(rasters[0].grid, np.concatenate([r.values for r in rasters]),
                   [name for r in rasters for name in r.band_names],
                   np.logical_and.reduce([r.mask for r in rasters]),
                   np.concatenate([r.wavelengths for r in rasters]))
@@ -291,7 +293,7 @@ def translate_pixels(r: Raster, dx: int, dy: int) -> Raster:
     Positive dx moves content toward larger columns, positive dy toward
     larger rows.  Pixels rolled in from outside the footprint are invalid.
     """
-    _require_bands(r)
+    _require_raster("r", r)
     dx, dy = (parameter(name, v, whole_number, lambda v: True, "an integer", ValidationError)
               for name, v in (("dx", dx), ("dy", dy)))
     nb, h, w = r.shape

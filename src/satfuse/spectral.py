@@ -17,10 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DomainError, SchemaError, ValidationError, finite, parameter, parse_errors,
-                     read_csv, real_number, whole_number)
+from .errors import (DomainError, SchemaError, ValidationError, allocating, array, finite,
+                     instance, instances, parameter, parse_errors, read_csv, real_number,
+                     whole_number)
 from .nnls import nnls
-from .raster import Raster
+from .raster import Raster, _require_raster
 
 __all__ = [
     "SpectralResponseTable",
@@ -68,18 +69,25 @@ def _fwhm_to_sigma(fwhm: float) -> float:
 class SpectralResponseTable:
     """Normalized response vs. wavelength for each target band.
 
-    ``bands`` maps band name -> (wavelengths_nm, responses); wavelengths are
-    strictly increasing, responses lie in [0, 1], and each band has at least
-    two samples.
+    ``bands`` maps each of one or more band names to (wavelengths_nm,
+    responses), two 1-D arrays of finite numbers; wavelengths are strictly
+    increasing, responses lie in [0, 1], and each band has at least two
+    samples.
     """
 
     bands: dict[str, tuple[np.ndarray, np.ndarray]]
 
     def __post_init__(self):
+        bands = parameter("bands", self.bands,
+                          lambda d: {name: tuple(pair) for name, pair in dict(d).items()},
+                          lambda d: len(d) >= 1 and all(isinstance(name, str) and len(pair) == 2
+                                                        for name, pair in d.items()),
+                          "a dict from band names to (wavelengths, responses) pairs",
+                          ValidationError)
         clean = {}
-        for name, (wl, resp) in self.bands.items():
-            wl = np.asarray(wl, dtype=np.float64)
-            resp = np.asarray(resp, dtype=np.float64)
+        for name, (wl, resp) in bands.items():
+            wl = array(f"band {name!r} wavelengths", wl, ValidationError, ndim=1, finite=True)
+            resp = array(f"band {name!r} responses", resp, ValidationError, ndim=1, finite=True)
             if wl.size < 2:
                 raise ValidationError(f"band {name!r} needs at least 2 samples")
             if not np.all(np.diff(wl) > 0):
@@ -123,11 +131,12 @@ class HyperBandSpec:
     fwhm: float
 
     def __post_init__(self):
-        object.__setattr__(self, "centers", np.asarray(self.centers, dtype=np.float64))
-        if self.centers.ndim != 1 or self.centers.size < 1:
-            raise ValidationError("centers must be a 1-D array")
-        if not (np.all(np.diff(self.centers) > 0) and np.isfinite(self.centers).all()):
-            raise ValidationError("band centers must be finite and strictly increasing")
+        object.__setattr__(self, "centers", array("centers", self.centers, ValidationError,
+                                                  ndim=1, finite=True))
+        if self.centers.size < 1:
+            raise ValidationError("centers must hold at least one band")
+        if not np.all(np.diff(self.centers) > 0):
+            raise ValidationError("band centers must be strictly increasing")
         object.__setattr__(self, "fwhm", parameter("fwhm", self.fwhm, real_number, lambda v: v > 0,
                                                    "a finite number > 0", ValidationError))
 
@@ -165,10 +174,8 @@ def evenly_spaced_camera(n_bands: int, fwhm: float | None = None) -> HyperBandSp
     step = (hi - lo) / (n_bands - 1)
     if fwhm is None:
         fwhm = 6.0 if n_bands == 269 else 1.2 * step
-    try:
+    with allocating(f"{n_bands} camera band centers"):
         centers = lo + step * np.arange(n_bands)
-    except (MemoryError, ValueError):  # NumPy's "Maximum allowed size exceeded"
-        raise ValidationError(f"{n_bands} camera band centers do not fit in memory") from None
     return HyperBandSpec(centers, fwhm)
 
 
@@ -178,9 +185,10 @@ def gaussian_design_matrix(spec: HyperBandSpec, grid: np.ndarray) -> np.ndarray:
     Entry (i, k) is exp(-(grid_i - center_k)^2 / (2 sigma^2)) with sigma
     derived from the camera FWHM.
     """
-    grid = np.asarray(grid, dtype=np.float64)
-    if grid.ndim != 1 or grid.size < 1:
-        raise ValidationError("grid must be a 1-D array")
+    instance("spec", spec, HyperBandSpec, ValidationError)
+    grid = array("grid", grid, ValidationError, ndim=1, finite=True)
+    if grid.size < 1:
+        raise ValidationError("grid must hold at least one wavelength")
     if not np.all(np.diff(grid) > 0):
         raise ValidationError("grid must be strictly increasing")
     sigma = spec.sigma
@@ -205,14 +213,17 @@ class BandWeights:
     normalizations: np.ndarray     # (n_target_bands,)
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.residuals = np.asarray(self.residuals, dtype=np.float64)
-        self.normalizations = np.asarray(self.normalizations, dtype=np.float64)
-        if self.weights.shape != (len(self.band_names), self.camera.n_bands):
+        instance("camera", self.camera, HyperBandSpec, ValidationError)
+        self.band_names = instances("band_names", self.band_names, str, ValidationError)
+        self.weights = array("weights", self.weights, ValidationError, ndim=2, finite=True)
+        self.residuals = array("residuals", self.residuals, ValidationError, ndim=1, finite=True)
+        self.normalizations = array("normalizations", self.normalizations, ValidationError,
+                                    ndim=1, finite=True)
+        n = len(self.band_names)
+        if self.weights.shape != (n, self.camera.n_bands):
             raise ValidationError("weights shape must be (n_bands, K)")
-        if not all(np.isfinite(a).all() for a in (self.weights, self.residuals,
-                                                  self.normalizations)):
-            raise ValidationError("weights, residuals and normalizations must be finite")
+        if self.residuals.shape != (n,) or self.normalizations.shape != (n,):
+            raise ValidationError("residuals and normalizations need one value per band")
         if (self.weights < 0).any():
             raise ValidationError("weights must be nonnegative")
         if not (self.weights.max(axis=1) > 0).all():
@@ -263,6 +274,8 @@ def fit_band_weights(
     and the weights rescaled to sum to one (the raw sum is recorded as the
     normalization constant).
     """
+    instance("srf", srf, SpectralResponseTable, ValidationError)
+    instance("spec", spec, HyperBandSpec, ValidationError)
     cam_lo, cam_hi = spec.centers[0], spec.centers[-1]
     names, rows, residuals, norms = [], [], [], []
     for name, (wl, resp) in srf.bands.items():
@@ -295,6 +308,8 @@ def simulate_bands(cube: Raster, weights: BandWeights) -> Raster:
     The sum runs over row slabs whose float64 copy stays within
     `_SLAB_BUDGET` elements, so no whole-cube float64 copy is made.
     """
+    _require_raster("cube", cube)
+    instance("weights", weights, BandWeights, ValidationError)
     K = weights.camera.n_bands
     if cube.n_bands != K:
         raise SchemaError(f"cube has {cube.n_bands} bands, camera model has {K}")

@@ -21,9 +21,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .bsf import read_block, read_framed, write_framed
-from .errors import (ConfigError, CorruptionError, ShapeError, finite, integer, parameter,
-                     parse_errors, real_number, whole_number)
-from .raster import Raster
+from .errors import (ConfigError, CorruptionError, ShapeError, array, finite, instance, integer,
+                     parameter, parse_errors, real_number, whole_number)
+from .raster import Raster, _require_raster
 
 __all__ = [
     "ArchConfig",
@@ -137,8 +137,7 @@ class SrcnnModel:
 
 def build_model(arch: ArchConfig, seed: int = 0) -> SrcnnModel:
     """He-uniform initialization, deterministic for a given seed."""
-    if not isinstance(arch, ArchConfig):
-        raise ConfigError(f"arch must be an ArchConfig, got {arch!r}")
+    instance("arch", arch, ArchConfig, ConfigError)
     seed = parameter("seed", seed, whole_number, lambda v: v >= 0, "an integer >= 0", ConfigError)
     rng = np.random.default_rng(seed)
     weights = []
@@ -395,9 +394,8 @@ def _backward_batch(model: SrcnnModel, cache, gout: np.ndarray, input_grad: bool
 
 def forward(model: SrcnnModel, x: np.ndarray) -> np.ndarray:
     """Run one image (C_in, H, W) -> (C_out, H, W)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3:
-        raise ShapeError("expected a (channels, H, W) tensor")
+    instance("model", model, SrcnnModel, ConfigError)
+    x = array("x", x, ShapeError, ndim=3, finite=True)
     y, _ = _forward_batch(model, x[:, None])
     return y[:, 0]
 
@@ -412,10 +410,9 @@ def backward(model: SrcnnModel, x: np.ndarray, grad_out: np.ndarray):
     C_out (5184 for a 9x9 kernel and 64 filters), in row slabs of at most
     `_COL_BUDGET` elements, as the forward pass of a large image is.
     """
-    x = np.asarray(x, dtype=np.float64)
-    grad_out = np.asarray(grad_out, dtype=np.float64)
-    if x.ndim != 3 or grad_out.ndim != 3:
-        raise ShapeError("expected (channels, H, W) tensors")
+    instance("model", model, SrcnnModel, ConfigError)
+    x = array("x", x, ShapeError, ndim=3, finite=True)
+    grad_out = array("grad_out", grad_out, ShapeError, ndim=3, finite=True)
     y, cache = _forward_batch(model, x[:, None], keep_cache=True)
     if grad_out.shape != (y.shape[0], y.shape[2], y.shape[3]):
         raise ShapeError(
@@ -489,8 +486,8 @@ def infer_tiled(
     wherever the overlap is at least the receptive-field radius.  The input
     mask propagates unchanged to the output.
     """
-    if not isinstance(model, SrcnnModel):
-        raise ConfigError(f"model must be an SrcnnModel, got {model!r}")
+    instance("model", model, SrcnnModel, ConfigError)
+    _require_raster("inputs", inputs, ShapeError)
     tile, overlap = (parameter(name, v, whole_number, lambda v: v >= 0, "an integer >= 0",
                                ConfigError) for name, v in (("tile", tile), ("overlap", overlap)))
     if inputs.n_bands != model.arch.in_channels:
@@ -524,6 +521,7 @@ def infer_tiled(
 
 
 def save_checkpoint(model: SrcnnModel, path) -> None:
+    instance("model", model, SrcnnModel, ConfigError)
     params = [np.ascontiguousarray(w, dtype="<f4") for w in model.weights]
     header = {
         "arch": asdict(model.arch),

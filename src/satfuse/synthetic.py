@@ -17,11 +17,12 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from .bsf import read_bsf, write_bsf
-from .errors import (GeometryError, ValidationError, parameter, parse_errors, real_number,
-                     whole_number)
+from .errors import (GeometryError, ValidationError, allocating, instance, parameter,
+                     parse_errors, real_number, whole_number)
 from .raster import (
     GeoGrid,
     Raster,
+    _require_raster,
     block_mean,
     stack_bands,
     translate_pixels,
@@ -104,11 +105,6 @@ class SceneConfig:
         )
 
 
-def _require_scene_config(cfg):
-    if not isinstance(cfg, SceneConfig):
-        raise ValidationError(f"cfg must be a SceneConfig, got {cfg!r}")
-
-
 def _endmember_spectra(rng, n_endmembers: int, centers: np.ndarray) -> np.ndarray:
     """Smooth spectra: each endmember is a sum of 2-4 Gaussians, clipped to [0, 1]."""
     lo, hi = CAMERA_RANGE_NM
@@ -152,16 +148,19 @@ def gen_hyper_scene(cfg: SceneConfig, return_parts: bool = False):
     ``np.einsum("mk,mhw->khw", E, ab)`` does, then clips and rounds to
     float32: the bytes equal that einsum's, clipped and cast.  (A BLAS
     product fuses multiply and add and can differ in the last bit.)
+    A scene too large for NumPy or for memory is a ValidationError.
     """
-    _require_scene_config(cfg)
+    instance("cfg", cfg, SceneConfig, ValidationError)
     camera = cfg.camera()
     em_seed = cfg.seed if cfg.endmember_seed is None else cfg.endmember_seed
-    E = _endmember_spectra(
-        np.random.default_rng([em_seed, 3]), cfg.n_endmembers, camera.centers
-    )
-    ab = _abundance_maps(np.random.default_rng([cfg.seed, 1]), cfg)
-    cube = np.empty((cfg.n_bands, cfg.height, cfg.width), dtype=np.float32)
-    acc, term = np.empty((2, cfg.height, cfg.width))
+    with allocating(f"a {cfg.n_bands}x{cfg.height}x{cfg.width} scene of "
+                    f"{cfg.n_endmembers} endmembers"):
+        E = _endmember_spectra(
+            np.random.default_rng([em_seed, 3]), cfg.n_endmembers, camera.centers
+        )
+        ab = _abundance_maps(np.random.default_rng([cfg.seed, 1]), cfg)
+        cube = np.empty((cfg.n_bands, cfg.height, cfg.width), dtype=np.float32)
+        acc, term = np.empty((2, cfg.height, cfg.width))
     for k in range(cfg.n_bands):
         np.multiply(ab[0], E[0, k], out=acc)
         for m in range(1, cfg.n_endmembers):
@@ -182,7 +181,8 @@ def degrade(fine: Raster, cfg: SceneConfig) -> Raster:
     and clip to [0, 1].  Coarse cells whose (shifted) source block falls
     partly outside the fine footprint are masked invalid.
     """
-    _require_scene_config(cfg)
+    _require_raster("fine", fine)
+    instance("cfg", cfg, SceneConfig, ValidationError)
     S = cfg.scale
     _, H, W = fine.shape
     tx, ty = cfg.shift
@@ -220,7 +220,7 @@ def make_fusion_dataset(cfg: SceneConfig, n_scenes: int, out_dir) -> dict:
     bicubic upsampling back to the fine grid.  The manifest assigns scenes to
     train/val/test.
     """
-    _require_scene_config(cfg)
+    instance("cfg", cfg, SceneConfig, ValidationError)
     n_scenes = parameter("n_scenes", n_scenes, whole_number, lambda v: v >= 3,
                          "an integer >= 3, for train, val and test splits", ValidationError)
     out = Path(out_dir)

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ShapeError, parameter, real_number, whole_number
+from .errors import (ConfigError, DataError, ShapeError, instance, parameter, real_number,
+                     whole_number)
 from .raster import Raster
 from .srcnn import ArchConfig, _backward_batch, _forward_batch, _masked_error, build_model
 
@@ -95,7 +96,10 @@ class _Adam:
             w -= c.learning_rate * (m / b1c) / (np.sqrt(v / b2c) + c.eps)
 
 
-def _prepare_pairs(pairs, arch: ArchConfig) -> list[_PairData]:
+def _prepare_pairs(name: str, pairs, arch: ArchConfig) -> list[_PairData]:
+    pairs = parameter(name, pairs, lambda ps: [(inp, tgt) for inp, tgt in ps],
+                      lambda ps: all(isinstance(r, Raster) for pair in ps for r in pair),
+                      "a list of (input, target) Raster pairs", DataError)
     if not pairs:
         raise DataError("empty dataset")
     out = []
@@ -167,7 +171,9 @@ def train(
     best-validation-loss parameters and ``loss_log`` is a list of
     ``(epoch, train_loss, val_loss)`` rows.
     """
-    data = _prepare_pairs(pairs, arch)
+    instance("arch", arch, ArchConfig, ConfigError)
+    instance("cfg", cfg, TrainConfig, ConfigError)
+    data = _prepare_pairs("pairs", pairs, arch)
     side = cfg.patch_side
     rng = np.random.default_rng(cfg.seed)
 
@@ -175,7 +181,7 @@ def train(
     if not pool:
         raise DataError("all candidate patches are fully masked")
     if val_pairs is not None:
-        vdata = _prepare_pairs(val_pairs, arch)
+        vdata = _prepare_pairs("val_pairs", val_pairs, arch)
         val_pool = _patch_pool(vdata, side, cfg.patch_stride)
         if not val_pool:
             raise DataError("validation pairs contain no usable patches")

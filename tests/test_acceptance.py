@@ -225,6 +225,7 @@ def harness_dataset(tmp_path_factory):
     return make_fusion_dataset(SceneConfig(seed=20), 8, out)
 
 
+@pytest.mark.slow
 def test_criterion_6_desk_scale_spectral_extension(harness_dataset):
     t0 = time.time()
     manifest = harness_dataset

@@ -4,47 +4,61 @@
 calls the library.  For each function a valid call is built, and each case
 replaces one or two of its arguments with malformed values: scalars (zero,
 negative, fractional, NaN, the infinities, Python and NumPy booleans, a digit
-string, None, a huge integer) and arrays (empty, wrong rank, one row short,
-one column, NaN- or infinity-filled, text).  A seeded generator draws the
-data, where a non-finite value lands and which arguments a paired case
-mutates.  Every call must return or raise a `SatfuseError`, and no warning
-may fire.
+string, None, a huge integer), arrays (empty, wrong rank, one row short,
+one column, NaN- or infinity-filled, text, ragged, None), objects (text, a
+number, a dict and None where a config, grid, camera, model or table
+belongs), rasters (those objects, a raster without bands and a raster on
+another grid) and band names (text, None, numbers, one name short).  A
+seeded generator draws the data, where a non-finite value lands and which
+arguments a paired case mutates.  Every call must return or raise a
+`SatfuseError`, and no warning may fire.
 
 This covers the forest (`ForestConfig`, `fit_forest`, `cross_validate`,
-`predict`, `oob_r2`, `Quadrat`), the grid and its scalar arguments
-(`GeoGrid`, `block_mean`, `translate_pixels`, `score_shift`,
-`snap_to_grid`), scene synthesis (`SceneConfig` with its camera and grid,
-`gen_hyper_scene`, `degrade`), the camera model (`HyperBandSpec`,
-`evenly_spaced_camera`) and the tolerances of `nnls` and
-`fit_band_weights`, the networks (`ArchConfig`, `preset`, `build_model`,
-`TrainConfig`, `infer_tiled`) and `psnr_from_rmse`.
-`test_every_export_is_fuzzed_or_excluded` keeps the list complete: every
-callable that `satfuse` exports is either fuzzed here or excluded with a
-reason.
+`predict`, `oob_r2`, `Quadrat`, `extract_quadrat_features`), the raster and
+its grid (`GeoGrid`, `Raster`, `stack_bands`, `block_mean`,
+`upsample_bicubic`, `translate_pixels`, `write_bsf`), registration
+(`score_shift`, `register`, `snap_to_grid`), `evaluate` and
+`psnr_from_rmse`, scene synthesis (`SceneConfig` with its camera and grid,
+`gen_hyper_scene`, `degrade`), band simulation (`HyperBandSpec`,
+`evenly_spaced_camera`, `gaussian_design_matrix`, `SpectralResponseTable`,
+`fit_band_weights`, `BandWeights`, `simulate_bands`), `nnls` and
+`kkt_residuals`, and the networks (`ArchConfig`, `preset`, `build_model`,
+`forward`, `backward`, `TrainConfig`, `train`, `infer_tiled`,
+`save_checkpoint`).  `test_every_export_is_fuzzed_or_excluded` keeps the list
+complete: every callable that `satfuse` exports is either fuzzed here or
+excluded with a reason.
 
 A fuzz case passes when a malformed value is accepted, so the calls that
 used to be accepted or to escape are also listed one by one in
 `test_malformed_parameter_refused`, which requires the documented error.
 """
 
+import tempfile
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import satfuse
-from satfuse.alignment import score_shift, snap_to_grid
-from satfuse.errors import ConfigError, GeometryError, SatfuseError, ValidationError
-from satfuse.forest import ForestConfig, Quadrat, cross_validate, fit_forest, oob_r2, predict
-from satfuse.metrics import psnr_from_rmse
-from satfuse.nnls import nnls
-from satfuse.raster import GeoGrid, Raster, block_mean, translate_pixels
-from satfuse.spectral import (HyperBandSpec, evenly_spaced_camera, fit_band_weights,
-                              synthetic_vnir_srf)
-from satfuse.srcnn import ArchConfig, build_model, infer_tiled, preset
+from satfuse.alignment import register, score_shift, snap_to_grid
+from satfuse.bsf import write_bsf
+from satfuse.errors import (ConfigError, DataError, GeometryError, SatfuseError, ShapeError,
+                            ValidationError)
+from satfuse.forest import (ForestConfig, Quadrat, cross_validate, extract_quadrat_features,
+                            fit_forest, oob_r2, predict)
+from satfuse.metrics import evaluate, psnr_from_rmse
+from satfuse.nnls import kkt_residuals, nnls
+from satfuse.raster import (GeoGrid, Raster, block_mean, stack_bands, translate_pixels,
+                            upsample_bicubic)
+from satfuse.spectral import (BandWeights, HyperBandSpec, SpectralResponseTable,
+                              evenly_spaced_camera, fit_band_weights, gaussian_design_matrix,
+                              simulate_bands, synthetic_vnir_srf)
+from satfuse.srcnn import (ArchConfig, backward, build_model, forward, infer_tiled, preset,
+                           save_checkpoint)
 from satfuse.synthetic import SceneConfig, degrade, gen_hyper_scene, make_fusion_dataset
-from satfuse.training import TrainConfig
+from satfuse.training import TrainConfig, train
 
 SEED = 2026
 PAIRED_CASES = 40
@@ -94,10 +108,33 @@ def _scene(**kwargs):
     return cfg.camera(), cfg.fine_grid()
 
 
-def _tiny_raster(n_bands, side=8):
+def _tiny_raster(n_bands, side=8, pixel=1.0, **kwargs):
     rng = np.random.default_rng(SEED)
-    return Raster(GeoGrid(0.0, float(side), 1.0, 1.0, side, side),
-                  rng.uniform(size=(n_bands, side, side)), [f"b{i}" for i in range(n_bands)])
+    return Raster(GeoGrid(0.0, side * pixel, pixel, pixel, side, side),
+                  rng.uniform(size=(n_bands, side, side)), [f"b{i}" for i in range(n_bands)],
+                  **kwargs)
+
+
+def raster_cases(r, objects):
+    """Malformed stand-ins for the valid raster `r`: the `objects`, a raster
+    without bands and a raster on another grid (1.5-unit pixels, 6 a side)."""
+    return {**objects, "zero-band": replace(r, values=r.values[:0], band_names=[],
+                                            wavelengths=None),
+            "other-grid": _tiny_raster(r.n_bands, 6, 1.5)}
+
+
+def name_cases(names):
+    """Malformed band names for the valid list `names`."""
+    return {"text": "ab", "none": None, "int": 3, "numbers": list(range(len(names))),
+            "one-short": names[:-1], "dict": dict.fromkeys(names)}
+
+
+def _written(write):
+    """`write(obj, path)` into a fresh temporary directory."""
+    def call(**kwargs):
+        with tempfile.TemporaryDirectory() as tmp:
+            write(**kwargs, path=Path(tmp) / "out")
+    return call
 
 
 def _pairs(first):
@@ -106,7 +143,13 @@ def _pairs(first):
 
 
 def _calls():
-    """(function name, function, valid keyword arguments, {argument: malformed values})."""
+    """(label, function, valid keyword arguments, {argument: malformed values}).
+
+    The label is the function's name.  `_object_calls` appends the entries
+    for array, object and raster arguments; a function that also has an entry
+    here takes a second label there, so that the paired cases of every entry
+    keep their names and their draws.
+    """
     rng = np.random.default_rng(SEED)
     X, y = _data(rng)
     cfg = ForestConfig(n_trees=3)
@@ -182,6 +225,105 @@ def _calls():
         ("infer_tiled", infer_tiled, {"model": net, "inputs": raster, "tile": 6, "overlap": 2},
          {"model": {**configs, "none": None}, "tile": SCALARS, "overlap": SCALARS}),
         ("psnr_from_rmse", psnr_from_rmse, {"rmse": 0.1}, {"rmse": SCALARS}),
+    ] + _object_calls(X, y, model, net)
+
+
+def _object_calls(X, y, model, net):
+    """The entries for the array, object, raster and band-name arguments.  An
+    entry for a function that `_calls` also fuzzes is labelled with its name
+    and "-arrays" or "-objects"."""
+    rng = np.random.default_rng([SEED, 2])
+    objects = {"text": "cfg", "int": 3, "dict": {"n_trees": 2}, "none": None}
+    raster = _tiny_raster(2)
+    rasters = raster_cases(raster, objects)
+    fine = _tiny_raster(2, 16)
+    coarse = block_mean(fine, 2)
+    camera = evenly_spaced_camera(24)
+    srf = synthetic_vnir_srf()
+    weights = fit_band_weights(srf, camera)
+    cube = _tiny_raster(24, wavelengths=camera.centers)
+    wl, resp = srf.bands["B2"]
+    x = rng.uniform(size=(2, 6, 6))
+    quadrats = [Quadrat("q0", 2.0, 6.0, 2.0), Quadrat("q1", 5.0, 3.0, 2.0)]
+    pair = (_tiny_raster(2), _tiny_raster(2))
+    pairs = {**objects, "empty": [], "single": [pair[0]],
+             "zero-band": [(rasters["zero-band"], pair[1])],
+             "other-grid": [(pair[0], rasters["other-grid"])], "triple": [(*pair, pair[0])]}
+    return [
+        ("predict-objects", predict, {"model": model, "features": X}, {"model": objects}),
+        ("oob_r2-objects", oob_r2, {"model": model, "X": X, "y": y}, {"model": objects}),
+        ("extract_quadrat_features", extract_quadrat_features,
+         {"r": raster, "quadrats": quadrats},
+         {"r": rasters, "quadrats": {**objects, "empty": [], "text": "q0",
+                                     "mixed": [quadrats[0], "q1"]}}),
+        ("Raster", Raster,
+         {"grid": raster.grid, "values": raster.values, "band_names": raster.band_names,
+          "mask": raster.mask, "wavelengths": np.array([500.0, 600.0])},
+         {"grid": {**objects, "other-grid": rasters["other-grid"].grid},
+          "values": array_cases(raster.values, rng),
+          "band_names": name_cases(raster.band_names),
+          "mask": array_cases(raster.mask, rng),
+          "wavelengths": array_cases(np.array([500.0, 600.0]), rng)}),
+        ("stack_bands", lambda a, b: stack_bands(a, b), {"a": raster, "b": raster},
+         {"a": rasters, "b": rasters}),
+        ("block_mean-objects", block_mean, {"r": raster, "factor": 2}, {"r": rasters}),
+        ("upsample_bicubic", upsample_bicubic, {"r": raster, "factor": 2},
+         {"r": rasters, "factor": SCALARS}),
+        ("translate_pixels-objects", translate_pixels, {"r": raster, "dx": 1, "dy": -1},
+         {"r": rasters}),
+        ("write_bsf", _written(write_bsf), {"r": raster}, {"r": rasters}),
+        ("score_shift-objects", score_shift, {"fine": fine, "coarse": coarse, "shift": (1, -1)},
+         {"fine": raster_cases(fine, objects), "coarse": raster_cases(coarse, objects)}),
+        ("register", register, {"fine": fine, "coarse": coarse},
+         {"fine": raster_cases(fine, objects), "coarse": raster_cases(coarse, objects)}),
+        ("snap_to_grid-objects", snap_to_grid,
+         {"fine": raster, "coarse_grid": raster.grid.scaled(2), "target_pixel": 1.0},
+         {"fine": rasters, "coarse_grid": objects}),
+        ("evaluate", evaluate, {"pred": raster, "truth": raster},
+         {"pred": rasters, "truth": rasters}),
+        ("degrade-objects", degrade,
+         {"fine": _tiny_raster(4, 16), "cfg": SceneConfig(width=16, height=16, n_bands=4, scale=4)},
+         {"fine": raster_cases(_tiny_raster(4, 16), objects)}),
+        ("HyperBandSpec-arrays", HyperBandSpec, {"centers": np.array([500.0, 510.0]), "fwhm": 6.0},
+         {"centers": array_cases(np.array([500.0, 510.0]), rng)}),
+        ("gaussian_design_matrix", gaussian_design_matrix,
+         {"spec": camera, "grid": np.linspace(450.0, 550.0, 12)},
+         {"spec": objects, "grid": array_cases(np.linspace(450.0, 550.0, 12), rng)}),
+        ("SpectralResponseTable", SpectralResponseTable, {"bands": {"B2": (wl, resp)}},
+         {"bands": {**objects, "empty": {}, "not-a-pair": {"B2": 3}, "triple": {"B2": (wl,) * 3},
+                    "int-name": {2: (wl, resp)},
+                    **{f"wavelengths-{n}": {"B2": (v, resp)}
+                       for n, v in array_cases(wl, rng).items()},
+                    **{f"responses-{n}": {"B2": (wl, v)}
+                       for n, v in array_cases(resp, rng).items()}}}),
+        ("nnls-arrays", nnls, {"A": X, "b": y},
+         {"A": array_cases(X, rng), "b": array_cases(y, rng)}),
+        ("kkt_residuals", kkt_residuals, {"A": X, "b": y, "x": nnls(X, y)},
+         {"A": array_cases(X, rng), "b": array_cases(y, rng),
+          "x": array_cases(nnls(X, y), rng)}),
+        ("fit_band_weights-objects", fit_band_weights, {"srf": srf, "spec": camera},
+         {"srf": objects, "spec": objects}),
+        ("BandWeights", BandWeights,
+         {"camera": camera, "band_names": weights.band_names, "weights": weights.weights,
+          "residuals": weights.residuals, "normalizations": weights.normalizations},
+         {"camera": objects, "band_names": name_cases(weights.band_names),
+          "weights": array_cases(weights.weights, rng),
+          "residuals": array_cases(weights.residuals, rng),
+          "normalizations": array_cases(weights.normalizations, rng)}),
+        ("simulate_bands", simulate_bands, {"cube": cube, "weights": weights},
+         {"cube": raster_cases(cube, objects), "weights": objects}),
+        ("forward", forward, {"model": net, "x": x},
+         {"model": objects, "x": array_cases(x, rng)}),
+        ("backward", backward, {"model": net, "x": x, "grad_out": x},
+         {"model": objects, "x": array_cases(x, rng), "grad_out": array_cases(x, rng)}),
+        ("save_checkpoint", _written(save_checkpoint), {"model": net}, {"model": objects}),
+        ("infer_tiled-objects", infer_tiled,
+         {"model": net, "inputs": raster, "tile": 6, "overlap": 2, "band_names": None},
+         {"inputs": rasters, "band_names": name_cases(raster.band_names)}),
+        ("train", train,
+         {"arch": net.arch, "pairs": [pair], "val_pairs": None,
+          "cfg": TrainConfig(scale=2, patch_coarse=2, batch_size=8, epochs=1)},
+         {"arch": objects, "pairs": pairs, "val_pairs": pairs, "cfg": objects}),
     ]
 
 
@@ -191,27 +333,10 @@ EXCLUDED = {
     "ForestModel": "a fitted forest, built by `fit_forest` and `from_json`",
     "MetricsReport": "a result record that `evaluate` builds",
     "SrcnnModel": "a network, built by `build_model` and `load_checkpoint`",
-    "BandWeights": "array-only; fitted by `fit_band_weights`",
-    "SpectralResponseTable": "array-only; its table is read from CSV by the file fuzz",
-    "Raster": "array-only, left for later",
-    "stack_bands": "array-only (rasters), left for later",
-    "extract_quadrat_features": "array-only (a raster and quadrats), left for later",
-    "register": "array-only (rasters), left for later",
-    "upsample_bicubic": "a factor of 10**30 still escapes as NumPy's ValueError (a FOUND line "
-                        "in CHANGES.md); its other factors are checked in test_raster",
-    "kkt_residuals": "array-only, left for later",
-    "gaussian_design_matrix": "array-only (a camera and a wavelength grid), left for later",
-    "simulate_bands": "array-only (a cube and band weights), left for later",
-    "evaluate": "array-only (two rasters), left for later",
-    "forward": "array-only (a network and a tensor), left for later",
-    "backward": "array-only (a network and tensors), left for later",
-    "train": "takes raster pairs and configs; its configs are fuzzed here",
     "default_camera": "takes no argument",
     "synthetic_vnir_srf": "takes no argument",
     "read_bsf": "reads a file: covered by the file fuzz in test_fuzz",
-    "write_bsf": "writes a raster to a file, no scalar parameter",
     "load_checkpoint": "reads a file: covered by the file fuzz in test_fuzz",
-    "save_checkpoint": "writes a network to a file, no scalar parameter",
     "assemble_pairs": "reads files named by a manifest: covered by test_cli",
     "make_fusion_dataset": "a huge scene count is a valid, endless request; see "
                            "test_malformed_parameter_refused",
@@ -261,6 +386,7 @@ def _refused():
     raster, scene = _tiny_raster(2), SceneConfig(width=16, height=16, n_bands=4, scale=4)
     net = build_model(ArchConfig(2, 2, ((3, 4), (3, 2))))
     arch = {"in_channels": 2, "out_channels": 2, "layers": ((3, 4), (3, 2))}
+    camera, inf_eye = evenly_spaced_camera(24), np.diag([np.inf, 1.0])
     V, C = ValidationError, ConfigError
     calls = [
         ("GeoGrid-width-2.5", V, "width", lambda: GeoGrid(0, 0, 1, 1, 2.5, 4)),
@@ -308,6 +434,70 @@ def _refused():
          lambda: make_fusion_dataset(None, 3, "out")),
         ("make_fusion_dataset-n_scenes-3.5", V, "n_scenes",
          lambda: make_fusion_dataset(scene, 3.5, "out")),
+        ("gen_hyper_scene-huge-width", V, "too large for memory",
+         lambda: gen_hyper_scene(SceneConfig(width=8 * 10**30, height=16, n_bands=4))),
+        ("upsample_bicubic-huge-factor", V, "too large for memory",
+         lambda: upsample_bicubic(raster, 10**30)),
+        ("nnls-A-text", V, "A", lambda: nnls(np.full((2, 2), "a"), np.ones(2))),
+        ("nnls-b-ragged", V, "b", lambda: nnls(np.eye(2), [[1.0], [1.0, 2.0]])),
+        ("kkt_residuals-A-inf", V, "A", lambda: kkt_residuals(inf_eye, np.ones(2), np.ones(2))),
+        ("kkt_residuals-x-None", V, "x", lambda: kkt_residuals(np.eye(2), np.ones(2), None)),
+        ("Raster-grid-None", V, "grid", lambda: Raster(None, raster.values, raster.band_names)),
+        ("Raster-values-text", V, "values",
+         lambda: Raster(raster.grid, np.full(raster.shape, "a"), raster.band_names)),
+        ("Raster-band_names-text", V, "band_names",
+         lambda: Raster(raster.grid, raster.values, "ab")),
+        ("Raster-band_names-None", V, "band_names",
+         lambda: Raster(raster.grid, raster.values, None)),
+        ("Raster-mask-ragged", V, "mask",
+         lambda: Raster(raster.grid, raster.values, raster.band_names, [[True], [True, False]])),
+        ("Raster-wavelengths-text", V, "wavelengths",
+         lambda: Raster(raster.grid, raster.values, raster.band_names, None, ["a", "b"])),
+        ("stack_bands-None", V, "raster 1", lambda: stack_bands(raster, None)),
+        ("block_mean-r-None", V, "r", lambda: block_mean(None, 2)),
+        ("upsample_bicubic-r-None", V, "r", lambda: upsample_bicubic(None, 2)),
+        ("translate_pixels-r-None", V, "r", lambda: translate_pixels(None, 1, 1)),
+        ("write_bsf-r-None", V, "r", lambda: write_bsf(None, "r.bsf")),
+        ("snap_to_grid-fine-None", V, "fine", lambda: snap_to_grid(None, raster.grid, 1.0)),
+        ("snap_to_grid-coarse_grid-None", V, "coarse_grid",
+         lambda: snap_to_grid(raster, None, 1.0)),
+        ("register-fine-None", V, "fine", lambda: register(None, block_mean(raster, 2))),
+        ("score_shift-coarse-None", V, "coarse", lambda: score_shift(raster, None, (0, 0))),
+        ("evaluate-truth-None", V, "truth", lambda: evaluate(raster, None)),
+        ("HyperBandSpec-centers-text", V, "centers", lambda: HyperBandSpec(["a", "b"], 6.0)),
+        ("gaussian_design_matrix-spec-None", V, "spec",
+         lambda: gaussian_design_matrix(None, np.array([500.0]))),
+        ("gaussian_design_matrix-grid-text", V, "grid",
+         lambda: gaussian_design_matrix(camera, ["a"])),
+        ("SpectralResponseTable-bands-None", V, "bands", lambda: SpectralResponseTable(None)),
+        ("SpectralResponseTable-wavelengths-inf", V, "wavelengths",
+         lambda: SpectralResponseTable({"B": (np.array([500.0, np.inf]), np.ones(2))})),
+        ("fit_band_weights-srf-None", V, "srf", lambda: fit_band_weights(None, camera)),
+        ("BandWeights-camera-None", V, "camera",
+         lambda: BandWeights(None, ["B"], np.ones((1, 2)), np.zeros(1), np.ones(1))),
+        ("BandWeights-residuals-text", V, "residuals",
+         lambda: BandWeights(camera, ["B"], np.ones((1, 2)), ["a"], np.ones(1))),
+        ("simulate_bands-cube-None", V, "cube",
+         lambda: simulate_bands(None, fit_band_weights(synthetic_vnir_srf(), camera))),
+        ("simulate_bands-weights-None", V, "weights", lambda: simulate_bands(raster, None)),
+        ("extract_quadrat_features-r-None", V, "r",
+         lambda: extract_quadrat_features(None, [Quadrat("q", 1.0, 1.0)])),
+        ("extract_quadrat_features-quadrats-text", V, "quadrats",
+         lambda: extract_quadrat_features(raster, "q")),
+        ("predict-model-None", C, "model", lambda: predict(None, np.ones((1, 2)))),
+        ("oob_r2-model-None", C, "model", lambda: oob_r2(None, np.ones((2, 2)), np.ones(2))),
+        ("forward-model-None", C, "model", lambda: forward(None, np.ones((2, 4, 4)))),
+        ("forward-x-inf", ShapeError, "x", lambda: forward(net, np.full((2, 4, 4), np.inf))),
+        ("backward-grad_out-inf", ShapeError, "grad_out",
+         lambda: backward(net, np.ones((2, 4, 4)), np.full((2, 4, 4), np.inf))),
+        ("infer_tiled-inputs-None", ShapeError, "inputs", lambda: infer_tiled(net, None)),
+        ("save_checkpoint-model-None", C, "model", lambda: save_checkpoint(None, "m.ckpt")),
+        ("degrade-fine-None", V, "fine", lambda: degrade(None, scene)),
+        ("train-arch-None", C, "arch", lambda: train(None, [(raster, raster)], TrainConfig())),
+        ("train-cfg-None", C, "cfg", lambda: train(net.arch, [(raster, raster)], None)),
+        ("train-pairs-None", DataError, "pairs", lambda: train(net.arch, None, TrainConfig())),
+        ("train-val_pairs-text", DataError, "val_pairs",
+         lambda: train(net.arch, [(raster, raster)], TrainConfig(scale=2), "ab")),
     ]
     return [pytest.param(fn, error, name, id=case) for case, error, name, fn in calls]
 
