@@ -21,8 +21,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (AlignmentError, CoverageError, GeometryError, ValidationError, instance,
-                     parameter, real_number, whole_number)
+from .errors import (PAIR, AlignmentError, CoverageError, GeometryError, ValidationError,
+                     instance, parameter, real_number)
 from .raster import GeoGrid, Raster, _require_raster
 
 __all__ = ["ShiftEstimate", "ScoreResult", "snap_to_grid", "score_shift", "register"]
@@ -262,8 +262,7 @@ def _regress_multivariate(x: np.ndarray, y: np.ndarray, n: int) -> ScoreResult:
 
 def score_shift(fine: Raster, coarse: Raster, shift: tuple[int, int]) -> ScoreResult:
     """Score one candidate translation (fine-pixel offsets) of the fine image."""
-    shift = parameter("shift", shift, lambda s: tuple(map(whole_number, s)), lambda s: len(s) == 2,
-                      "a pair (dx, dy) of integers", ValidationError)
+    shift = parameter("shift", shift, *PAIR, ValidationError)
     result = _ScoreContext(fine, coarse).score(shift)
     if result is None:
         raise CoverageError(

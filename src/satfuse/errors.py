@@ -13,6 +13,7 @@ allocate a size (a MemoryError, or a ValueError past its limits) into a
 ValidationError."""
 
 import csv
+import dataclasses
 import math
 import numbers
 import reprlib
@@ -152,6 +153,16 @@ def real_number(value) -> float:
     return finite(value)
 
 
+# The common rules of a library parameter, as `(convert, ok, rule)` for `parameter`
+INTEGER = (whole_number, lambda v: True, "an integer")
+COUNT = (whole_number, lambda v: v >= 1, "an integer >= 1")
+INDEX = (whole_number, lambda v: v >= 0, "an integer >= 0")
+FINITE = (real_number, lambda v: True, "finite")
+POSITIVE = (real_number, lambda v: v > 0, "finite and > 0")
+NONNEGATIVE = (real_number, lambda v: v >= 0, "finite and >= 0")
+PAIR = (lambda s: tuple(map(whole_number, s)), lambda s: len(s) == 2, "a pair of integers")
+
+
 def parameter(name: str, value, convert, ok, rule: str, error):
     """`convert(value)` of the library parameter `name`; an `error` naming the
     parameter, the `rule` and `value` unless it converts and `ok` holds for
@@ -164,6 +175,21 @@ def parameter(name: str, value, convert, ok, rule: str, error):
         if ok(number):
             return number
     raise error(f"{name} must be {rule}, got {reprlib.repr(value)}")
+
+
+def check_fields(obj, error, *table):
+    """Convert and store the fields of the dataclass instance `obj` that
+    `table` names, as pairs of space-separated field names and a rule, in
+    order; an `error` names the first bad field.  A field whose default is
+    None may be None, and its rule then reads "None or ..."."""
+    defaults = {f.name: f.default for f in dataclasses.fields(obj)}
+    for names, (convert, ok, rule) in table:
+        for name in names.split():
+            value, optional = getattr(obj, name), defaults[name] is None
+            if value is not None or not optional:
+                value = parameter(name, value, convert, ok,
+                                  f"None or {rule}" if optional else rule, error)
+                object.__setattr__(obj, name, value)
 
 
 def instance(name: str, value, kind, error, rule: str | None = None):

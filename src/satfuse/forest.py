@@ -46,9 +46,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import (ConfigError, CoverageError, FormatError, PartitionError, SchemaError,
-                     ValidationError, array, instance, instances, integer, parameter,
-                     parse_errors, read_csv, real_number, whole_number)
+from .errors import (COUNT, FINITE, INDEX, INTEGER, POSITIVE, ConfigError, CoverageError,
+                     FormatError, PartitionError, SchemaError, ValidationError, array,
+                     check_fields, instance, instances, integer, parameter, parse_errors,
+                     read_csv)
 from .raster import Raster, _require_raster
 
 __all__ = [
@@ -84,11 +85,9 @@ class Quadrat:
         if type(x) is type(y) is type(side) is float and (
                 math.isfinite(x) and math.isfinite(y) and 0 < side < math.inf):
             return
-        for name, ok, rule in (("x", lambda v: True, "a finite number"),
-                               ("y", lambda v: True, "a finite number"),
-                               ("side", lambda v: v > 0, "a finite number > 0")):
-            value = parameter(f"quadrat {self.id!r} {name}", getattr(self, name), real_number,
-                              ok, rule, ValidationError)
+        for name, rule in (("x", FINITE), ("y", FINITE), ("side", POSITIVE)):
+            value = parameter(f"quadrat {self.id!r} {name}", getattr(self, name), *rule,
+                              ValidationError)
             object.__setattr__(self, name, value)
 
 
@@ -131,9 +130,9 @@ def extract_quadrat_features(r: Raster, quadrats: list[Quadrat]) -> np.ndarray:
 # CART regression trees
 
 
-# ForestConfig's integer fields: name, least value, whether None is allowed
-_INTEGER_FIELDS = (("n_trees", 1, False), ("max_features", 1, True),
-                   ("min_samples_leaf", 1, False), ("max_depth", 0, True))
+# ForestConfig's integer fields and their rules
+_INTEGER_FIELDS = (("n_trees", COUNT), ("max_features", COUNT), ("min_samples_leaf", COUNT),
+                   ("max_depth", INDEX))
 
 
 @dataclass
@@ -146,12 +145,7 @@ class ForestConfig:
 
     def __post_init__(self):
         """Store every integer field as an `int`; a ConfigError names a bad field."""
-        for name, low, optional in _INTEGER_FIELDS:
-            value = getattr(self, name)
-            if value is not None or not optional:
-                rule = f"{'None or ' if optional else ''}an integer >= {low}"
-                setattr(self, name, parameter(name, value, whole_number, lambda v: v >= low,
-                                              rule, ConfigError))
+        check_fields(self, ConfigError, *_INTEGER_FIELDS)
         instance("bootstrap", self.bootstrap, bool, ConfigError, "True or False")
 
 
@@ -316,7 +310,7 @@ class ForestModel:
             ]
             config = {**doc["config"]}
             # a digit string is an integer here, as in the seed and n_features fields
-            for name, _, _ in _INTEGER_FIELDS:
+            for name, _ in _INTEGER_FIELDS:
                 if config.get(name) is not None:
                     try:
                         config[name] = integer(config[name])
@@ -358,8 +352,7 @@ def _samples(X, y) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _seed(seed) -> int:
-    return parameter("seed", seed, whole_number, lambda v: v >= 0, "an integer >= 0",
-                     ValidationError)
+    return parameter("seed", seed, *INDEX, ValidationError)
 
 
 def _usable_cpus() -> int:
@@ -497,7 +490,7 @@ def cross_validate(
     """
     X, y = _samples(X, y)
     n = X.shape[0]
-    k = parameter("k", k, whole_number, lambda v: True, "an integer", ValidationError)
+    k = parameter("k", k, *INTEGER, ValidationError)
     seed = _seed(seed)
     if k < 2 or k > n:
         raise PartitionError(f"cannot split {n} samples into {k} folds")

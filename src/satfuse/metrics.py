@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import AlignmentError, CoverageError, ValidationError, parameter, real_number
+from .errors import NONNEGATIVE, AlignmentError, CoverageError, ValidationError, parameter
 from .raster import Raster, _require_raster
 
 __all__ = ["MetricsReport", "evaluate", "psnr_from_rmse", "PSNR_CAP", "PSNR_PEAK"]
@@ -26,8 +26,7 @@ def psnr_from_rmse(rmse: float) -> tuple[float, bool]:
 
     A negative, NaN or infinite RMSE is refused with a ValidationError.
     """
-    rmse = parameter("rmse", rmse, real_number, lambda v: v >= 0, "a finite number >= 0",
-                     ValidationError)
+    rmse = parameter("rmse", rmse, *NONNEGATIVE, ValidationError)
     if rmse < _RMSE_FLOOR:
         return PSNR_CAP, True
     return 20.0 * np.log10(PSNR_PEAK / rmse), False

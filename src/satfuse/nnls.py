@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SolverError, ValidationError, array, parameter, real_number, whole_number
+from .errors import INDEX, NONNEGATIVE, SolverError, ValidationError, array, parameter
 
 __all__ = ["nnls", "kkt_residuals"]
 
@@ -86,10 +86,9 @@ def nnls(
     """
     A, b = _system(A, b)
     m, n = A.shape
-    tol = parameter("tol", tol, real_number, lambda v: v >= 0, "a finite number >= 0",
-                    ValidationError)
-    max_iter = parameter("max_iter", 3 * n if max_iter is None else max_iter, whole_number,
-                         lambda v: v >= 0, "None or an integer >= 0", ValidationError)
+    tol = parameter("tol", tol, *NONNEGATIVE, ValidationError)
+    max_iter = parameter("max_iter", 3 * n if max_iter is None else max_iter, *INDEX,
+                         ValidationError)
 
     AtA = A.T @ A
     Atb = A.T @ b

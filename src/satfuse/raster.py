@@ -28,8 +28,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (AlignmentError, DimensionError, ValidationError, allocating, array,
-                     instance, instances, parameter, real_number, whole_number)
+from .errors import (COUNT, FINITE, INTEGER, POSITIVE, AlignmentError, DimensionError,
+                     ValidationError, allocating, array, check_fields, instance, instances,
+                     parameter)
 
 __all__ = [
     "GeoGrid",
@@ -53,13 +54,8 @@ class GeoGrid:
     height: int
 
     def __post_init__(self):
-        for names, convert, ok, rule in (
-                ("origin_x origin_y", real_number, lambda v: True, "finite"),
-                ("pixel_w pixel_h", real_number, lambda v: v > 0, "finite and > 0"),
-                ("width height", whole_number, lambda v: v >= 1, "an integer >= 1")):
-            for name in names.split():
-                value = parameter(name, getattr(self, name), convert, ok, rule, ValidationError)
-                object.__setattr__(self, name, value)
+        check_fields(self, ValidationError, ("origin_x origin_y", FINITE),
+                     ("pixel_w pixel_h", POSITIVE), ("width height", COUNT))
 
     @property
     def x_max(self) -> float:
@@ -197,8 +193,7 @@ def block_mean(r: Raster, factor: int) -> Raster:
     scales by `factor`, origin unchanged.
     """
     _require_raster("r", r)
-    factor = parameter("factor", factor, whole_number, lambda v: v >= 1, "an integer >= 1",
-                       ValidationError)
+    factor = parameter("factor", factor, *COUNT, ValidationError)
     nb, h, w = r.shape
     if h % factor or w % factor:
         raise DimensionError(
@@ -248,8 +243,7 @@ def upsample_bicubic(r: Raster, factor: int) -> Raster:
     invalid.  An output too large for NumPy or for memory is a ValidationError.
     """
     _require_raster("r", r)
-    factor = parameter("factor", factor, whole_number, lambda v: v >= 1, "an integer >= 1",
-                       ValidationError)
+    factor = parameter("factor", factor, *COUNT, ValidationError)
     if factor == 1:
         return r.copy()
     nb, h, w = r.shape
@@ -294,8 +288,7 @@ def translate_pixels(r: Raster, dx: int, dy: int) -> Raster:
     larger rows.  Pixels rolled in from outside the footprint are invalid.
     """
     _require_raster("r", r)
-    dx, dy = (parameter(name, v, whole_number, lambda v: True, "an integer", ValidationError)
-              for name, v in (("dx", dx), ("dy", dy)))
+    dx, dy = (parameter(name, v, *INTEGER, ValidationError) for name, v in (("dx", dx), ("dy", dy)))
     nb, h, w = r.shape
     if abs(dx) >= w or abs(dy) >= h:
         raise DimensionError("translation exceeds raster extent")

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DomainError, SchemaError, ValidationError, allocating, array, finite,
-                     instance, instances, parameter, parse_errors, read_csv, real_number,
-                     whole_number)
+from .errors import (POSITIVE, DomainError, SchemaError, ValidationError, allocating, array,
+                     check_fields, finite, instance, instances, parameter, parse_errors,
+                     read_csv, whole_number)
 from .nnls import nnls
 from .raster import Raster, _require_raster
 
@@ -137,8 +137,7 @@ class HyperBandSpec:
             raise ValidationError("centers must hold at least one band")
         if not np.all(np.diff(self.centers) > 0):
             raise ValidationError("band centers must be strictly increasing")
-        object.__setattr__(self, "fwhm", parameter("fwhm", self.fwhm, real_number, lambda v: v > 0,
-                                                   "a finite number > 0", ValidationError))
+        check_fields(self, ValidationError, ("fwhm", POSITIVE))
 
     @property
     def n_bands(self) -> int:

@@ -21,8 +21,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .bsf import read_block, read_framed, write_framed
-from .errors import (ConfigError, CorruptionError, ShapeError, array, finite, instance, integer,
-                     parameter, parse_errors, real_number, whole_number)
+from .errors import (COUNT, FINITE, INDEX, ConfigError, CorruptionError, ShapeError, array,
+                     check_fields, finite, instance, integer, parameter, parse_errors,
+                     whole_number)
 from .raster import Raster, _require_raster
 
 __all__ = [
@@ -55,15 +56,12 @@ class ArchConfig:
     name: str = "custom"
 
     def __post_init__(self):
-        for names, convert, ok, rule in (
-                ("in_channels out_channels", whole_number, lambda v: v >= 1, "an integer >= 1"),
-                ("layers", lambda ls: tuple((whole_number(k), whole_number(f)) for k, f in ls),
-                 lambda ls: len(ls) >= 2 and all(k >= 1 and k % 2 and f >= 1 for k, f in ls),
-                 "two or more (kernel, filters) pairs of integers, odd kernels >= 1, filters >= 1"),
-                ("slope", real_number, lambda v: True, "a finite number")):
-            for name in names.split():
-                value = parameter(name, getattr(self, name), convert, ok, rule, ConfigError)
-                object.__setattr__(self, name, value)
+        layers = (lambda ls: tuple((whole_number(k), whole_number(f)) for k, f in ls),
+                  lambda ls: len(ls) >= 2 and all(k >= 1 and k % 2 and f >= 1 for k, f in ls),
+                  "two or more (kernel, filters) pairs of integers, "
+                  "odd kernels >= 1, filters >= 1")
+        check_fields(self, ConfigError, ("in_channels out_channels", COUNT), ("layers", layers),
+                     ("slope", FINITE))
         if self.layers[-1][1] != self.out_channels:
             raise ConfigError(
                 f"final layer has {self.layers[-1][1]} filters, expected {self.out_channels}"
@@ -138,7 +136,7 @@ class SrcnnModel:
 def build_model(arch: ArchConfig, seed: int = 0) -> SrcnnModel:
     """He-uniform initialization, deterministic for a given seed."""
     instance("arch", arch, ArchConfig, ConfigError)
-    seed = parameter("seed", seed, whole_number, lambda v: v >= 0, "an integer >= 0", ConfigError)
+    seed = parameter("seed", seed, *INDEX, ConfigError)
     rng = np.random.default_rng(seed)
     weights = []
     for shape in arch.weight_shapes:
@@ -488,8 +486,8 @@ def infer_tiled(
     """
     instance("model", model, SrcnnModel, ConfigError)
     _require_raster("inputs", inputs, ShapeError)
-    tile, overlap = (parameter(name, v, whole_number, lambda v: v >= 0, "an integer >= 0",
-                               ConfigError) for name, v in (("tile", tile), ("overlap", overlap)))
+    tile, overlap = (parameter(name, v, *INDEX, ConfigError)
+                     for name, v in (("tile", tile), ("overlap", overlap)))
     if inputs.n_bands != model.arch.in_channels:
         raise ShapeError(
             f"raster has {inputs.n_bands} bands, network expects {model.arch.in_channels}"

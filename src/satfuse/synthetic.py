@@ -17,8 +17,9 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from .bsf import read_bsf, write_bsf
-from .errors import (GeometryError, ValidationError, allocating, instance, parameter,
-                     parse_errors, real_number, whole_number)
+from .errors import (COUNT, FINITE, INDEX, NONNEGATIVE, PAIR, POSITIVE, GeometryError,
+                     ValidationError, allocating, check_fields, instance, parameter, parse_errors,
+                     whole_number)
 from .raster import (
     GeoGrid,
     Raster,
@@ -73,21 +74,11 @@ class SceneConfig:
     endmember_seed: int | None = None
 
     def __post_init__(self):
-        for names, convert, ok, rule in (
-                ("seed endmember_seed", whole_number, lambda v: v >= 0, "an integer >= 0"),
-                ("width height scale n_endmembers", whole_number, lambda v: v >= 1,
-                 "an integer >= 1"),
-                ("n_bands", whole_number, lambda v: v >= 2, "an integer >= 2"),
-                ("smoothness noise_sigma", real_number, lambda v: v >= 0, "a finite number >= 0"),
-                ("gain offset", real_number, lambda v: True, "a finite number"),
-                ("pixel_m fwhm", real_number, lambda v: v > 0, "a finite number > 0"),
-                ("shift", lambda s: tuple(map(whole_number, s)), lambda s: len(s) == 2,
-                 "a pair of integers")):
-            for name in names.split():
-                value = getattr(self, name)
-                if value is not None or name not in ("fwhm", "endmember_seed"):
-                    value = parameter(name, value, convert, ok, rule, ValidationError)
-                    object.__setattr__(self, name, value)
+        check_fields(self, ValidationError, ("seed endmember_seed", INDEX),
+                     ("width height scale n_endmembers", COUNT),
+                     ("n_bands", (whole_number, lambda v: v >= 2, "an integer >= 2")),
+                     ("smoothness noise_sigma", NONNEGATIVE), ("gain offset", FINITE),
+                     ("pixel_m fwhm", POSITIVE), ("shift", PAIR))
         if self.width % self.scale or self.height % self.scale:
             raise ValidationError("width and height must be divisible by scale")
 

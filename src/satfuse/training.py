@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigError, DataError, ShapeError, instance, parameter, real_number,
-                     whole_number)
+from .errors import (COUNT, INDEX, POSITIVE, ConfigError, DataError, ShapeError, check_fields,
+                     instance, parameter, real_number)
 from .raster import Raster
 from .srcnn import ArchConfig, _backward_batch, _forward_batch, _masked_error, build_model
 
@@ -48,17 +48,12 @@ class TrainConfig:
 
     def __post_init__(self):
         """Store every number as an `int` or a `float`; a ConfigError names a bad field."""
-        for names, convert, ok, rule in (
-                ("scale patch_coarse patch_stride_coarse batch_size epochs", whole_number,
-                 lambda v: v >= 1, "an integer >= 1"),
-                ("seed", whole_number, lambda v: v >= 0, "an integer >= 0"),
-                ("learning_rate eps", real_number, lambda v: v > 0, "a finite number > 0"),
-                ("beta1 beta2", real_number, lambda v: 0 <= v < 1, "a number in [0, 1)"),
-                ("validation_fraction", real_number, lambda v: 0 < v < 1, "a number in (0, 1)")):
-            for name in names.split():
-                value = getattr(self, name)
-                if value is not None or name != "patch_stride_coarse":
-                    setattr(self, name, parameter(name, value, convert, ok, rule, ConfigError))
+        check_fields(self, ConfigError,
+                     ("scale patch_coarse patch_stride_coarse batch_size epochs", COUNT),
+                     ("seed", INDEX), ("learning_rate eps", POSITIVE),
+                     ("beta1 beta2", (real_number, lambda v: 0 <= v < 1, "a number in [0, 1)")),
+                     ("validation_fraction",
+                      (real_number, lambda v: 0 < v < 1, "a number in (0, 1)")))
 
     @property
     def patch_side(self) -> int:
