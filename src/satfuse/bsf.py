@@ -32,7 +32,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import CorruptionError, FormatError, finite, parse_errors
+from .errors import (PATH, CorruptionError, FormatError, ValidationError, finite, parameter,
+                     parse_errors)
 from .raster import GeoGrid, Raster, _require_raster
 
 MAGIC = b"BSF1"
@@ -47,6 +48,7 @@ def write_framed(path, magic: bytes, header: dict, *blocks) -> None:
     array in one call, any other array one slice along its first axis at a
     time (one band of a cropped raster), so no copy of a whole block is made.
     """
+    path = parameter("path", path, *PATH, ValidationError)
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(magic)
@@ -70,6 +72,7 @@ def read_framed(path, magic: bytes):
     :func:`read_block`.  Framing faults raise FormatError with their byte
     offset.
     """
+    path = parameter("path", path, *PATH, ValidationError)
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         start = len(magic) + 4

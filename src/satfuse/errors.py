@@ -3,19 +3,24 @@
 A file reader parses a field with `integer` or `finite`, which also take a digit
 string, inside `parse_errors`.  A library argument is checked once, where the
 public call receives it, and raises the caller's SatfuseError subclass naming
-it: a number through `parameter` with `whole_number` or `real_number` (a real
-number only, never a bool, a string or None), an array through `array` (an
-`np.asarray` conversion with an optional rank and finiteness, whose message
-never prints the values), an object through `instance` and a list of objects
-or names through `instances`.  `raster._require_raster` adds the raster rule:
-a Raster with at least one band.  `allocating` turns NumPy's refusal to
-allocate a size (a MemoryError, or a ValueError past its limits) into a
-ValidationError."""
+it: a number or a path through `parameter` with one of the named rules
+`INTEGER`, `COUNT` (>= 1), `INDEX` (>= 0), `FINITE`, `POSITIVE` (> 0),
+`NONNEGATIVE` (>= 0), `PAIR` (two integers) and `PATH` (built on
+`whole_number` and `real_number`, which take a real number only, never a
+bool, a string or None), an array through `array` (an `np.asarray`
+conversion with an optional rank and finiteness, whose message never prints
+the values), an object through `instance` and a list of objects or names
+through `instances`.  `check_fields` applies rules to the fields of a config
+dataclass, which may be None where their default is None.
+`raster._require_raster` adds the raster rule: a Raster with at least one
+band.  `allocating` turns NumPy's refusal to allocate a size (a MemoryError,
+or a ValueError past its limits) into a ValidationError."""
 
 import csv
 import dataclasses
 import math
 import numbers
+import os
 import reprlib
 from contextlib import contextmanager
 
@@ -161,6 +166,7 @@ FINITE = (real_number, lambda v: True, "finite")
 POSITIVE = (real_number, lambda v: v > 0, "finite and > 0")
 NONNEGATIVE = (real_number, lambda v: v >= 0, "finite and >= 0")
 PAIR = (lambda s: tuple(map(whole_number, s)), lambda s: len(s) == 2, "a pair of integers")
+PATH = (os.fspath, lambda p: True, "a path")
 
 
 def parameter(name: str, value, convert, ok, rule: str, error):
@@ -242,6 +248,7 @@ def read_csv(path, columns, text):
     must hold a finite number.  A missing or repeated column, a row with more
     or fewer fields than the header, or a cell that is not a finite number is
     a FormatError naming `path` and the line.  Blank lines are skipped."""
+    path = parameter("path", path, *PATH, ValidationError)
     with open(path, newline="") as fh, parse_errors(path):
         reader = csv.reader(fh)
         header = next(reader, [])

@@ -81,10 +81,12 @@ class Quadrat:
 
     def __post_init__(self):
         x, y, side = self.x, self.y, self.side
-        # plain finite floats skip the general check: a map lattice builds thousands
-        if type(x) is type(y) is type(side) is float and (
+        # a text id and plain finite floats skip the general check: a map
+        # lattice builds thousands
+        if type(self.id) is str and type(x) is type(y) is type(side) is float and (
                 math.isfinite(x) and math.isfinite(y) and 0 < side < math.inf):
             return
+        instance("quadrat id", self.id, str, ValidationError)
         for name, rule in (("x", FINITE), ("y", FINITE), ("side", POSITIVE)):
             value = parameter(f"quadrat {self.id!r} {name}", getattr(self, name), *rule,
                               ValidationError)

@@ -11,7 +11,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import NONNEGATIVE, AlignmentError, CoverageError, ValidationError, parameter
+from .errors import (NONNEGATIVE, AlignmentError, CoverageError, ValidationError, instance,
+                     parameter)
 from .raster import Raster, _require_raster
 
 __all__ = ["MetricsReport", "evaluate", "psnr_from_rmse", "PSNR_CAP", "PSNR_PEAK"]
@@ -50,6 +51,7 @@ def evaluate(pred: Raster, truth: Raster, per_band: bool = False) -> MetricsRepo
     """RMSE / MAE / PSNR between two rasters over jointly valid pixels."""
     _require_raster("pred", pred)
     _require_raster("truth", truth)
+    instance("per_band", per_band, bool, ValidationError, "True or False")
     if pred.grid != truth.grid:
         raise AlignmentError("prediction and truth are on different grids")
     if pred.n_bands != truth.n_bands:

@@ -73,6 +73,7 @@ class GeoGrid:
 
     def scaled(self, factor: int) -> "GeoGrid":
         """Grid with pixels `factor` times larger, same origin (for block aggregation)."""
+        factor = parameter("factor", factor, *COUNT, ValidationError)
         return GeoGrid(
             self.origin_x,
             self.origin_y,
@@ -84,6 +85,7 @@ class GeoGrid:
 
     def refined(self, factor: int) -> "GeoGrid":
         """Grid with pixels `factor` times smaller, same origin (for upsampling)."""
+        factor = parameter("factor", factor, *COUNT, ValidationError)
         return GeoGrid(
             self.origin_x,
             self.origin_y,
@@ -158,6 +160,9 @@ class Raster:
             raise KeyError(f"no band named {name!r}") from None
 
     def select_bands(self, names: list[str], rename: list[str] | None = None) -> "Raster":
+        names = instances("names", names, str, ValidationError)
+        if rename is not None:
+            rename = instances("rename", rename, str, ValidationError)
         missing = [n for n in names if n not in self.band_names]
         if missing:
             raise ValidationError(f"no band named {', '.join(map(repr, missing))}; "

@@ -62,6 +62,7 @@ class ArchConfig:
                   "odd kernels >= 1, filters >= 1")
         check_fields(self, ConfigError, ("in_channels out_channels", COUNT), ("layers", layers),
                      ("slope", FINITE))
+        instance("name", self.name, str, ConfigError)
         if self.layers[-1][1] != self.out_channels:
             raise ConfigError(
                 f"final layer has {self.layers[-1][1]} filters, expected {self.out_channels}"
@@ -402,11 +403,13 @@ def backward(model: SrcnnModel, x: np.ndarray, grad_out: np.ndarray):
     """Exact gradients of the forward graph.
 
     Returns ``(weight_grads, input_grad)`` for one image; ``grad_out`` is the
-    loss gradient w.r.t. the network output.  Training never needs the input
-    gradient of layer 0; here it is computed as a direct convolution whose
-    column matrix has C_out*k*k rows for layer 0's kernel k and filter count
-    C_out (5184 for a 9x9 kernel and 64 filters), in row slabs of at most
-    `_COL_BUDGET` elements, as the forward pass of a large image is.
+    loss gradient w.r.t. the network output.  The forward pass run first
+    keeps every layer's whole column matrix for the weight gradients, with no
+    slabs: about 108 MB for a 64x64 image through the ``spectral`` preset.
+    Training never needs the input gradient of layer 0; here it is computed
+    as a direct convolution whose column matrix has C_out*k*k rows for layer
+    0's kernel k and filter count C_out (5184 for a 9x9 kernel and 64
+    filters), in row slabs of at most `_COL_BUDGET` elements.
     """
     instance("model", model, SrcnnModel, ConfigError)
     x = array("x", x, ShapeError, ndim=3, finite=True)

@@ -33,6 +33,7 @@ used to be accepted or to escape are also listed one by one in
 `test_malformed_parameter_refused`, which requires the documented error.
 """
 
+import dataclasses
 import tempfile
 import warnings
 from dataclasses import replace
@@ -43,11 +44,11 @@ import pytest
 
 import satfuse
 from satfuse.alignment import register, score_shift, snap_to_grid
-from satfuse.bsf import write_bsf
+from satfuse.bsf import read_bsf, write_bsf
 from satfuse.errors import (ConfigError, DataError, GeometryError, SatfuseError, ShapeError,
                             ValidationError)
 from satfuse.forest import (ForestConfig, Quadrat, cross_validate, extract_quadrat_features,
-                            fit_forest, oob_r2, predict)
+                            fit_forest, load_quadrats_csv, oob_r2, predict)
 from satfuse.metrics import evaluate, psnr_from_rmse
 from satfuse.nnls import kkt_residuals, nnls
 from satfuse.raster import (GeoGrid, Raster, block_mean, stack_bands, translate_pixels,
@@ -55,8 +56,8 @@ from satfuse.raster import (GeoGrid, Raster, block_mean, stack_bands, translate_
 from satfuse.spectral import (BandWeights, HyperBandSpec, SpectralResponseTable,
                               evenly_spaced_camera, fit_band_weights, gaussian_design_matrix,
                               simulate_bands, synthetic_vnir_srf)
-from satfuse.srcnn import (ArchConfig, backward, build_model, forward, infer_tiled, preset,
-                           save_checkpoint)
+from satfuse.srcnn import (ArchConfig, backward, build_model, forward, infer_tiled,
+                           load_checkpoint, preset, save_checkpoint)
 from satfuse.synthetic import SceneConfig, degrade, gen_hyper_scene, make_fusion_dataset
 from satfuse.training import TrainConfig, train
 
@@ -498,6 +499,25 @@ def _refused():
         ("train-pairs-None", DataError, "pairs", lambda: train(net.arch, None, TrainConfig())),
         ("train-val_pairs-text", DataError, "val_pairs",
          lambda: train(net.arch, [(raster, raster)], TrainConfig(scale=2), "ab")),
+        ("GeoGrid.scaled-0", V, "factor", lambda: raster.grid.scaled(0)),
+        ("GeoGrid.scaled-2.5", V, "factor", lambda: raster.grid.scaled(2.5)),
+        ("GeoGrid.refined-0", V, "factor", lambda: raster.grid.refined(0)),
+        ("GeoGrid.refined-1.5", V, "factor", lambda: raster.grid.refined(1.5)),
+        ("Raster.select_bands-names-None", V, "names", lambda: raster.select_bands(None)),
+        ("Raster.select_bands-rename-text", V, "rename",
+         lambda: raster.select_bands(["b0"], rename="x")),
+        ("evaluate-per_band-array", V, "per_band",
+         lambda: evaluate(raster, raster, per_band=np.ones(2))),
+        ("evaluate-per_band-text", V, "per_band", lambda: evaluate(raster, raster, per_band="no")),
+        ("write_bsf-path-None", V, "path", lambda: write_bsf(raster, None)),
+        ("read_bsf-path-2.5", V, "path", lambda: read_bsf(2.5)),
+        ("read_bsf-path-0", V, "path", lambda: read_bsf(0)),
+        ("save_checkpoint-path-None", V, "path", lambda: save_checkpoint(net, None)),
+        ("load_checkpoint-path-0", V, "path", lambda: load_checkpoint(0)),
+        ("load_quadrats_csv-path-None", V, "path", lambda: load_quadrats_csv(None)),
+        ("Quadrat-id-5", V, "id", lambda: Quadrat(5, 1.0, 1.0)),
+        ("ArchConfig-name-None", C, "name", lambda: ArchConfig(**arch, name=None)),
+        ("ArchConfig-name-list", C, "name", lambda: ArchConfig(**arch, name=["x"])),
     ]
     return [pytest.param(fn, error, name, id=case) for case, error, name, fn in calls]
 
@@ -507,6 +527,35 @@ def test_malformed_parameter_refused(fn, error, name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # make_fusion_dataset writes under "out"
     with pytest.raises(error, match=name):
         fn()
+
+
+def _checked_dataclasses():
+    """(class, valid keyword arguments, error) for every dataclass that checks its fields."""
+    raster = _tiny_raster(2)
+    return [
+        (GeoGrid, {"origin_x": 0.0, "origin_y": 4.0, "pixel_w": 1.0, "pixel_h": 1.0,
+                   "width": 4, "height": 4}, ValidationError),
+        (Raster, {"grid": raster.grid, "values": raster.values,
+                  "band_names": raster.band_names}, ValidationError),
+        (ArchConfig, {"in_channels": 2, "out_channels": 2, "layers": ((3, 4), (3, 2))},
+         ConfigError),
+        (SceneConfig, {}, ValidationError),
+        (TrainConfig, {}, ConfigError),
+        (ForestConfig, {}, ConfigError),
+        (HyperBandSpec, {"centers": np.array([500.0, 510.0]), "fwhm": 6.0}, ValidationError),
+        (Quadrat, {"id": "q", "x": 1.0, "y": 2.0}, ValidationError),
+    ]
+
+
+@pytest.mark.parametrize("cls, valid, error, field", [
+    pytest.param(cls, valid, error, f, id=f"{cls.__name__}-{f.name}")
+    for cls, valid, error in _checked_dataclasses() for f in dataclasses.fields(cls)])
+def test_none_is_accepted_exactly_where_the_default_is_none(cls, valid, error, field):
+    if field.default is None:  # accepted; a Raster fills in its mask and wavelengths
+        cls(**{**valid, field.name: None})
+    else:
+        with pytest.raises(error, match=field.name):
+            cls(**{**valid, field.name: None})
 
 
 def test_numbers_are_stored_as_int_and_float():
