@@ -5,16 +5,16 @@ string, inside `parse_errors`.  A library argument is checked once, where the
 public call receives it, and raises the caller's SatfuseError subclass naming
 it: a number or a path through `parameter` with one of the named rules
 `INTEGER`, `COUNT` (>= 1), `INDEX` (>= 0), `FINITE`, `POSITIVE` (> 0),
-`NONNEGATIVE` (>= 0), `PAIR` (two integers) and `PATH` (built on
-`whole_number` and `real_number`, which take a real number only, never a
-bool, a string or None), an array through `array` (an `np.asarray`
+`NONNEGATIVE` (>= 0), `PAIR` (two integers) or `PATH` (a number rule takes a
+real number only, never a bool, a string or None), the fields of a config
+dataclass through `check_fields` with the same rules (None only where the
+field's default is None), an array through `array` (an `np.asarray`
 conversion with an optional rank and finiteness, whose message never prints
 the values), an object through `instance` and a list of objects or names
-through `instances`.  `check_fields` applies rules to the fields of a config
-dataclass, which may be None where their default is None.
-`raster._require_raster` adds the raster rule: a Raster with at least one
-band.  `allocating` turns NumPy's refusal to allocate a size (a MemoryError,
-or a ValueError past its limits) into a ValidationError."""
+through `instances`.  `raster._require_raster` adds the raster rule: a
+Raster with at least one band.  `allocating` turns NumPy's refusal to
+allocate a size (a MemoryError, or a ValueError past its limits) into a
+ValidationError."""
 
 import csv
 import dataclasses

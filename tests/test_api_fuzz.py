@@ -31,6 +31,8 @@ excluded with a reason.
 A fuzz case passes when a malformed value is accepted, so the calls that
 used to be accepted or to escape are also listed one by one in
 `test_malformed_parameter_refused`, which requires the documented error.
+`test_none_is_accepted_exactly_where_the_default_is_none` holds every field
+of every checked dataclass to the `None` rule.
 """
 
 import dataclasses
