@@ -29,7 +29,7 @@ import numpy as np
 
 from . import alignment, forest, metrics, spectral, srcnn, synthetic, training
 from .bsf import read_bsf, write_bsf
-from .errors import SatfuseError, ValidationError, finite, integer, parse_errors
+from .errors import SatfuseError, ValidationError, finite, integer, parse_errors, read_json
 from .raster import stack_bands, translate_pixels
 
 log = logging.getLogger("satfuse")
@@ -43,10 +43,7 @@ CONFIG_VERSION = 1
 
 def _load_config(path: Path) -> dict:
     """Read a version-checked JSON config; its other keys are stage parameters."""
-    with open(path) as fh, parse_errors(path):
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{path}: config must be a JSON object")
+    doc = read_json(path)
     version = doc.pop("version", None)
     if isinstance(version, bool) or version != CONFIG_VERSION:
         raise ValidationError(f"{path}: missing or unsupported version (expected {CONFIG_VERSION})")
@@ -76,8 +73,9 @@ def _camera_from_arg(arg: str, base: Path) -> spectral.HyperBandSpec:
             raise ValidationError(f"camera {arg!r}: expected even:<band count>")
         return spectral.evenly_spaced_camera(int(count))
     path = _resolve(base, arg)
-    with open(path) as fh, parse_errors(path):
-        return spectral.HyperBandSpec.from_dict(json.load(fh))
+    doc = read_json(path)
+    with parse_errors(path):
+        return spectral.HyperBandSpec.from_dict(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +105,9 @@ def run_align(args: dict, base: Path) -> dict:
     coarse = read_bsf(args["coarse"])
     snapped = alignment.snap_to_grid(fine, coarse.grid, args["target_pixel"])
     if args["apply_shift"]:
-        with open(args["apply_shift"]) as fh, parse_errors(args["apply_shift"]):
-            dx, dy = (integer(v) for v in json.load(fh)["shift_px"])
+        report = read_json(args["apply_shift"])
+        with parse_errors(args["apply_shift"]):
+            dx, dy = (integer(v) for v in report["shift_px"])
         snapped = translate_pixels(snapped, dx, dy)
     write_bsf(snapped, args["out"])
     return {"out": str(args["out"]),

@@ -1,23 +1,28 @@
 """Exception hierarchy shared by all satfuse modules, and the rules for arguments.
 
 A file reader parses a field with `integer` or `finite`, which also take a digit
-string, inside `parse_errors`.  A library argument is checked once, where the
-public call receives it, and raises the caller's SatfuseError subclass naming
-it: a number or a path through `parameter` with one of the named rules
-`INTEGER`, `COUNT` (>= 1), `INDEX` (>= 0), `FINITE`, `POSITIVE` (> 0),
-`NONNEGATIVE` (>= 0), `PAIR` (two integers) or `PATH` (a number rule takes a
-real number only, never a bool, a string or None), the fields of a config
-dataclass through `check_fields` with the same rules (None only where the
-field's default is None), an array through `array` (an `np.asarray`
-conversion with an optional rank and finiteness, whose message never prints
-the values), an object through `instance` and a list of objects or names
-through `instances`.  `raster._require_raster` adds the raster rule: a
-Raster with at least one band.  `allocating` turns NumPy's refusal to
+string, inside `parse_errors`.  `read_json` and `read_csv` read the JSON and CSV
+files: each checks its path with `PATH` and reports a document that does not
+parse, or does not have the format's shape, as a FormatError naming the file.
+A library argument is checked once, where the public call receives it, and
+raises the caller's SatfuseError subclass naming it: a number or a path
+through `parameter` with one of the named rules `INTEGER`, `COUNT` (>= 1),
+`INDEX` (>= 0), `FINITE`, `POSITIVE` (> 0), `NONNEGATIVE` (>= 0), `PAIR` (two
+integers) or `PATH` (a str, bytes or os.PathLike, returned as a str; a number
+rule takes a real number only, never a bool, a string or None, and a path is
+never a number, which `open` would take for a file descriptor), the fields of
+a config dataclass through `check_fields` with the same rules (None only
+where the field's default is None), an array through `array` (an
+`np.asarray` conversion with an optional rank and finiteness, whose message
+never prints the values), an object through `instance` and a list of objects
+or names through `instances`.  `raster._require_raster` adds the raster
+rule: a Raster with at least one band.  `allocating` turns NumPy's refusal to
 allocate a size (a MemoryError, or a ValueError past its limits) into a
 ValidationError."""
 
 import csv
 import dataclasses
+import json
 import math
 import numbers
 import os
@@ -166,7 +171,7 @@ FINITE = (real_number, lambda v: True, "finite")
 POSITIVE = (real_number, lambda v: v > 0, "finite and > 0")
 NONNEGATIVE = (real_number, lambda v: v >= 0, "finite and >= 0")
 PAIR = (lambda s: tuple(map(whole_number, s)), lambda s: len(s) == 2, "a pair of integers")
-PATH = (os.fspath, lambda p: True, "a path")
+PATH = (os.fsdecode, lambda p: True, "a path")
 
 
 def parameter(name: str, value, convert, ok, rule: str, error):
@@ -240,6 +245,17 @@ def array(name: str, value, error, ndim: int | None = None, dtype=np.float64,
     if finite and not np.isfinite(a).all():
         raise error(f"{rule}, got a value that is not finite")
     return a
+
+
+def read_json(path) -> dict:
+    """The object that the JSON file at `path` holds.  A file that does not
+    parse, or holds anything but one object, is a FormatError naming `path`."""
+    path = parameter("path", path, *PATH, ValidationError)
+    with open(path) as fh, parse_errors(path):
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: a JSON file must hold one object, found {type(doc).__name__}")
+    return doc
 
 
 def read_csv(path, columns, text):

@@ -46,10 +46,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import (COUNT, FINITE, INDEX, INTEGER, POSITIVE, ConfigError, CoverageError,
+from .errors import (COUNT, FINITE, INDEX, INTEGER, PATH, POSITIVE, ConfigError, CoverageError,
                      FormatError, PartitionError, SchemaError, ValidationError, array,
                      check_fields, instance, instances, integer, parameter, parse_errors,
-                     read_csv)
+                     read_csv, read_json)
 from .raster import Raster, _require_raster
 
 __all__ = [
@@ -171,6 +171,12 @@ class _Tree:
             node[rows] = np.where(go_left, self.left[node[rows]], self.right[node[rows]])
 
 
+# a tree's arrays, in the order its JSON lists them, each with the dtype it is
+# read back as; None keeps NumPy's own choice, float64 for the floats written
+_TREE_ARRAYS = (("feature", np.int64), ("threshold", None), ("left", np.int64),
+                ("right", np.int64), ("value", None))
+
+
 def _best_split(cols, yl, rows, total_sum, total_sq, candidates, min_leaf):
     """Lowest summed-child-SSE split of a node's `rows` over the candidate features.
 
@@ -277,39 +283,24 @@ class ForestModel:
     target_range: tuple[float, float]
 
     def to_json(self, path) -> None:
+        path = parameter("path", path, *PATH, ValidationError)
         doc = {
             "seed": self.seed,
             "n_features": self.n_features,
             "target_range": list(self.target_range),
             "config": asdict(self.config),
-            "trees": [
-                {
-                    "feature": t.feature.tolist(),
-                    "threshold": t.threshold.tolist(),
-                    "left": t.left.tolist(),
-                    "right": t.right.tolist(),
-                    "value": t.value.tolist(),
-                }
-                for t in self.trees
-            ],
+            "trees": [{name: getattr(t, name).tolist() for name, _ in _TREE_ARRAYS}
+                      for t in self.trees],
         }
         with open(path, "w") as fh:
             json.dump(doc, fh)
 
     @classmethod
     def from_json(cls, path) -> "ForestModel":
-        with open(path) as fh, parse_errors(path):
-            doc = json.load(fh)
-            trees = [
-                _Tree(
-                    np.array(t["feature"], dtype=np.int64),
-                    np.array(t["threshold"]),
-                    np.array(t["left"], dtype=np.int64),
-                    np.array(t["right"], dtype=np.int64),
-                    np.array(t["value"]),
-                )
-                for t in doc["trees"]
-            ]
+        doc = read_json(path)
+        with parse_errors(path):
+            trees = [_Tree(**{name: np.array(t[name], dtype=dtype)
+                              for name, dtype in _TREE_ARRAYS}) for t in doc["trees"]]
             config = {**doc["config"]}
             # a digit string is an integer here, as in the seed and n_features fields
             for name, _ in _INTEGER_FIELDS:
@@ -478,6 +469,10 @@ def _r2(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     return float(1.0 - (resid @ resid) / ss_tot)
 
 
+def _rmse(y_true: np.ndarray, y_pred: np.ndarray) -> float:
+    return float(np.sqrt(np.mean((y_pred - y_true) ** 2)))
+
+
 def cross_validate(
     X: np.ndarray,
     y: np.ndarray,
@@ -508,15 +503,15 @@ def cross_validate(
         fold_seed = int(np.random.SeedSequence([seed, fi + 1]).generate_state(1)[0])
         model = fit_forest(X[train_idx], y[train_idx], cfg, seed=fold_seed)
         pred = predict(model, X[held])
-        rmse = float(np.sqrt(np.mean((pred - y[held]) ** 2)))
-        folds.append({"fold": fi, "n": int(held.size), "r2": _r2(y[held], pred), "rmse": rmse})
+        folds.append({"fold": fi, "n": int(held.size), "r2": _r2(y[held], pred),
+                      "rmse": _rmse(y[held], pred)})
         pooled_true.append(y[held])
         pooled_pred.append(pred)
     yt = np.concatenate(pooled_true)
     yp = np.concatenate(pooled_pred)
     pooled = {
         "r2": _r2(yt, yp),
-        "rmse": float(np.sqrt(np.mean((yp - yt) ** 2))),
+        "rmse": _rmse(yt, yp),
         "n": int(yt.size),
     }
     return {"k": k, "seed": seed, "folds": folds, "pooled": pooled}
@@ -543,6 +538,7 @@ def load_quadrats_csv(path):
 
 
 def save_samples_csv(path, quadrats, targets, features, band_names) -> None:
+    path = parameter("path", path, *PATH, ValidationError)
     features = array("features", features, ValidationError, ndim=2)
     if features.shape != (len(quadrats), len(band_names)):
         raise ValidationError("features shape must be (n_quadrats, n_bands)")

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (POSITIVE, DomainError, SchemaError, ValidationError, allocating, array,
-                     check_fields, finite, instance, instances, parameter, parse_errors,
-                     read_csv, whole_number)
+from .errors import (PATH, POSITIVE, DomainError, SchemaError, ValidationError, allocating,
+                     array, check_fields, finite, instance, instances, parameter, parse_errors,
+                     read_csv, read_json, whole_number)
 from .nnls import nnls
 from .raster import Raster, _require_raster
 
@@ -105,6 +105,7 @@ class SpectralResponseTable:
 
     def to_csv(self, path) -> None:
         """Write `band,wavelength_nm,response` rows sorted by band then wavelength."""
+        path = parameter("path", path, *PATH, ValidationError)
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(_CSV_COLUMNS)
@@ -233,6 +234,7 @@ class BandWeights:
         return self.weights @ self.camera.centers
 
     def save_json(self, path) -> None:
+        path = parameter("path", path, *PATH, ValidationError)
         doc = {
             "camera": self.camera.to_dict(),
             "bands": [
@@ -250,8 +252,8 @@ class BandWeights:
 
     @classmethod
     def load_json(cls, path) -> "BandWeights":
-        with open(path) as fh, parse_errors(path):
-            doc = json.load(fh)
+        doc = read_json(path)
+        with parse_errors(path):
             camera = HyperBandSpec.from_dict(doc["camera"])
             names = [b["name"] for b in doc["bands"]]
             weights = np.array([[finite(w) for w in b["weights"]] for b in doc["bands"]],

@@ -17,9 +17,9 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from .bsf import read_bsf, write_bsf
-from .errors import (COUNT, FINITE, INDEX, NONNEGATIVE, PAIR, POSITIVE, GeometryError,
+from .errors import (COUNT, FINITE, INDEX, NONNEGATIVE, PAIR, PATH, POSITIVE, GeometryError,
                      ValidationError, allocating, check_fields, instance, parameter, parse_errors,
-                     whole_number)
+                     read_json, whole_number)
 from .raster import (
     GeoGrid,
     Raster,
@@ -214,7 +214,7 @@ def make_fusion_dataset(cfg: SceneConfig, n_scenes: int, out_dir) -> dict:
     instance("cfg", cfg, SceneConfig, ValidationError)
     n_scenes = parameter("n_scenes", n_scenes, whole_number, lambda v: v >= 3,
                          "an integer >= 3, for train, val and test splits", ValidationError)
-    out = Path(out_dir)
+    out = Path(parameter("out_dir", out_dir, *PATH, ValidationError))
     out.mkdir(parents=True, exist_ok=True)
 
     srf = synthetic_vnir_srf()
@@ -257,11 +257,9 @@ def make_fusion_dataset(cfg: SceneConfig, n_scenes: int, out_dir) -> dict:
 
 def load_manifest(path) -> dict:
     """Read a dataset manifest; its directory is the base of the scene file names."""
-    path = Path(path)
-    with open(path) as fh, parse_errors(path):
-        manifest = json.load(fh)
-        if not isinstance(manifest, dict):
-            raise TypeError("manifest must be a JSON object")
+    path = Path(parameter("path", path, *PATH, ValidationError))
+    manifest = read_json(path)
+    with parse_errors(path):
         for scene in manifest["scenes"]:
             if not isinstance(scene["split"], str) or not isinstance(scene["files"], dict):
                 raise TypeError("each scene needs a 'split' string and a 'files' object")
@@ -286,10 +284,14 @@ def assemble_pairs(manifest: dict, split: str, variant: str = "stacked"):
         "coarse"   upsampled coarse bands only (8 ch)
     Targets are always the fine 8-band truth.
     """
-    if variant not in _VARIANT_INPUTS:
-        raise ValidationError(f"unknown variant {variant!r}")
-    base = Path(manifest.get("_dir", "."))
+    instance("manifest", manifest, dict, ValidationError)
+    instance("split", split, str, ValidationError)
+    parameter("variant", variant, lambda v: v,
+              lambda v: isinstance(v, str) and v in _VARIANT_INPUTS,
+              f"one of {', '.join(map(repr, _VARIANT_INPUTS))}", ValidationError)
+    base = manifest.get("_dir", ".")
     with parse_errors(f"manifest in {base}"):
+        base = Path(base)
         chosen = [
             (base / s["files"]["truth8"], [base / s["files"][k] for k in _VARIANT_INPUTS[variant]])
             for s in manifest["scenes"]

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (COUNT, INDEX, POSITIVE, ConfigError, DataError, ShapeError, check_fields,
-                     instance, parameter, real_number)
+from .errors import (COUNT, INDEX, PATH, POSITIVE, ConfigError, DataError, ShapeError,
+                     ValidationError, check_fields, instance, parameter, real_number)
 from .raster import Raster
 from .srcnn import ArchConfig, _backward_batch, _forward_batch, _masked_error, build_model
 
@@ -237,6 +237,7 @@ def train(
 
 
 def loss_log_to_csv(loss_log, path) -> None:
+    path = parameter("path", path, *PATH, ValidationError)
     with open(path, "w") as fh:
         fh.write("epoch,train_loss,val_loss\n")
         for epoch, tr, va in loss_log:

@@ -22,7 +22,8 @@ its grid (`GeoGrid`, `Raster`, `stack_bands`, `block_mean`,
 `gen_hyper_scene`, `degrade`), band simulation (`HyperBandSpec`,
 `evenly_spaced_camera`, `gaussian_design_matrix`, `SpectralResponseTable`,
 `fit_band_weights`, `BandWeights`, `simulate_bands`), `nnls` and
-`kkt_residuals`, and the networks (`ArchConfig`, `preset`, `build_model`,
+`kkt_residuals`, `assemble_pairs` on a manifest whose scenes name no file
+to read, and the networks (`ArchConfig`, `preset`, `build_model`,
 `forward`, `backward`, `TrainConfig`, `train`, `infer_tiled`,
 `save_checkpoint`).  `test_every_export_is_fuzzed_or_excluded` keeps the list
 complete: every callable that `satfuse` exports is either fuzzed here or
@@ -36,6 +37,7 @@ of every checked dataclass to the `None` rule.
 """
 
 import dataclasses
+import os
 import tempfile
 import warnings
 from dataclasses import replace
@@ -49,8 +51,9 @@ from satfuse.alignment import register, score_shift, snap_to_grid
 from satfuse.bsf import read_bsf, write_bsf
 from satfuse.errors import (ConfigError, DataError, GeometryError, SatfuseError, ShapeError,
                             ValidationError)
-from satfuse.forest import (ForestConfig, Quadrat, cross_validate, extract_quadrat_features,
-                            fit_forest, load_quadrats_csv, oob_r2, predict)
+from satfuse.forest import (ForestConfig, ForestModel, Quadrat, cross_validate,
+                            extract_quadrat_features, fit_forest, load_quadrats_csv, oob_r2,
+                            predict, save_samples_csv)
 from satfuse.metrics import evaluate, psnr_from_rmse
 from satfuse.nnls import kkt_residuals, nnls
 from satfuse.raster import (GeoGrid, Raster, block_mean, stack_bands, translate_pixels,
@@ -60,8 +63,9 @@ from satfuse.spectral import (BandWeights, HyperBandSpec, SpectralResponseTable,
                               simulate_bands, synthetic_vnir_srf)
 from satfuse.srcnn import (ArchConfig, backward, build_model, forward, infer_tiled,
                            load_checkpoint, preset, save_checkpoint)
-from satfuse.synthetic import SceneConfig, degrade, gen_hyper_scene, make_fusion_dataset
-from satfuse.training import TrainConfig, train
+from satfuse.synthetic import (SceneConfig, assemble_pairs, degrade, gen_hyper_scene,
+                               load_manifest, make_fusion_dataset)
+from satfuse.training import TrainConfig, loss_log_to_csv, train
 
 SEED = 2026
 PAIRED_CASES = 40
@@ -327,6 +331,12 @@ def _object_calls(X, y, model, net):
          {"arch": net.arch, "pairs": [pair], "val_pairs": None,
           "cfg": TrainConfig(scale=2, patch_coarse=2, batch_size=8, epochs=1)},
          {"arch": objects, "pairs": pairs, "val_pairs": pairs, "cfg": objects}),
+        ("assemble_pairs", assemble_pairs,
+         {"manifest": {"scenes": []}, "split": "train", "variant": "stacked"},
+         {"manifest": {**objects, "list": [], "scenes-text": {"scenes": "ab"},
+                       "scene-text": {"scenes": ["a"]}, "dir-number": {"scenes": [], "_dir": 3}},
+          "split": {**SCALARS, "list": ["train"]},
+          "variant": {**SCALARS, "list": [], "unknown": "bicubic"}}),
     ]
 
 
@@ -340,7 +350,6 @@ EXCLUDED = {
     "synthetic_vnir_srf": "takes no argument",
     "read_bsf": "reads a file: covered by the file fuzz in test_fuzz",
     "load_checkpoint": "reads a file: covered by the file fuzz in test_fuzz",
-    "assemble_pairs": "reads files named by a manifest: covered by test_cli",
     "make_fusion_dataset": "a huge scene count is a valid, endless request; see "
                            "test_malformed_parameter_refused",
 }
@@ -520,7 +529,28 @@ def _refused():
         ("Quadrat-id-5", V, "id", lambda: Quadrat(5, 1.0, 1.0)),
         ("ArchConfig-name-None", C, "name", lambda: ArchConfig(**arch, name=None)),
         ("ArchConfig-name-list", C, "name", lambda: ArchConfig(**arch, name=["x"])),
+        ("assemble_pairs-manifest-None", V, "manifest", lambda: assemble_pairs(None, "train")),
+        ("assemble_pairs-split-None", V, "split", lambda: assemble_pairs({"scenes": []}, None)),
+        ("assemble_pairs-variant-list", V, "variant",
+         lambda: assemble_pairs({"scenes": []}, "train", [])),
     ]
+    model = fit_forest(np.ones((4, 1)), np.arange(4.0), ForestConfig(n_trees=2))
+    weights = fit_band_weights(synthetic_vnir_srf(), camera)
+    files = [  # every reader and writer of a JSON or CSV file, as (label, argument, call)
+        ("ForestModel.to_json", "path", model.to_json),
+        ("ForestModel.from_json", "path", ForestModel.from_json),
+        ("BandWeights.save_json", "path", weights.save_json),
+        ("BandWeights.load_json", "path", BandWeights.load_json),
+        ("load_manifest", "path", load_manifest),
+        ("make_fusion_dataset", "out_dir", lambda p: make_fusion_dataset(scene, 3, p)),
+        ("SpectralResponseTable.to_csv", "path", synthetic_vnir_srf().to_csv),
+        ("save_samples_csv", "path",
+         lambda p: save_samples_csv(p, [Quadrat("q", 1.0, 1.0)], [1.0], np.ones((1, 1)), ["b"])),
+        ("loss_log_to_csv", "path", lambda p: loss_log_to_csv([(1, 0.5, 0.5)], p)),
+    ]
+    calls += [(f"{label}-{arg}-{name}", V, arg, lambda call=call, path=path: call(path))
+              for label, arg, call in files
+              for name, path in (("None", None), ("2.5", 2.5), ("0", 0))]
     return [pytest.param(fn, error, name, id=case) for case, error, name, fn in calls]
 
 
@@ -529,6 +559,13 @@ def test_malformed_parameter_refused(fn, error, name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # make_fusion_dataset writes under "out"
     with pytest.raises(error, match=name):
         fn()
+
+
+def test_an_integer_path_is_not_a_file_descriptor():
+    os.fstat(0)  # standard input, which pytest points at the null device
+    with pytest.raises(ValidationError, match="path"):
+        ForestModel.from_json(0)
+    os.fstat(0)  # still open: it was neither read nor closed
 
 
 def _checked_dataclasses():

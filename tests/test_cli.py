@@ -1,15 +1,18 @@
 import hashlib
 import json
+import re
 import struct
 
 import numpy as np
 import pytest
 
+from satfuse import cli
 from satfuse.bsf import read_bsf, write_bsf
 from satfuse.cli import STAGES, main
-from satfuse.forest import Quadrat, save_samples_csv
-from satfuse.spectral import synthetic_vnir_srf
-from satfuse.synthetic import SceneConfig, make_fusion_dataset
+from satfuse.errors import FormatError
+from satfuse.forest import ForestModel, Quadrat, save_samples_csv
+from satfuse.spectral import BandWeights, synthetic_vnir_srf
+from satfuse.synthetic import SceneConfig, load_manifest, make_fusion_dataset
 
 from conftest import random_raster
 
@@ -511,6 +514,7 @@ CONTRACT_CASES = {
     "bsf-header-nested-too-deep": (
         {"g.bsf": b"BSF1" + struct.pack("<I", 10**5) + b"[" * 10**5}, _EVALUATE_G),
     "train-config-nested-too-deep": ({"t.json": b"[" * 10**5}, ["train", "--config", "t.json"]),
+    "train-config-list": ({"t.json": "[]"}, ["train", "--config", "t.json"]),
     "quadrats-nan": ({"q.csv": "id,x_m,y_m,side_m,target\nq0,nan,0.5,0.25,2\n"}, _RF_SAMPLES_Q),
     "quadrats-inf": ({"q.csv": "id,x_m,y_m,side_m,target\nq0,inf,0.5,0.25,2\n"}, _RF_SAMPLES_Q),
     # integers from outside are not truncated, and booleans are not numbers
@@ -594,6 +598,28 @@ def test_malformed_input_exits_with_error(case, tmp_path, monkeypatch, capsys):
     assert any(line.startswith("error: ") for line in err.splitlines()), err
     assert "Traceback" not in err
     assert "Warning" not in err, err
+
+
+# every JSON reader, as a call on the path of the file to read; `r.bsf` is written too
+JSON_READERS = {
+    "run-config": cli._load_config,
+    "camera": lambda path: cli._camera_from_arg(path.name, path.parent),
+    "shift-report": lambda path: cli.run_align(
+        {"fine": path.parent / "r.bsf", "coarse": path.parent / "r.bsf", "target_pixel": 0.125,
+         "apply_shift": path, "out": path.parent / "o.bsf"}, path.parent),
+    "forest": ForestModel.from_json,
+    "weights": BandWeights.load_json,
+    "manifest": load_manifest,
+}
+
+
+@pytest.mark.parametrize("reader", sorted(JSON_READERS))
+def test_json_file_must_hold_an_object(reader, tmp_path):
+    write_bsf(random_raster(0, 8, 8, 2), tmp_path / "r.bsf")
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(FormatError, match=re.escape(f"{path}: a JSON file must hold one object")):
+        JSON_READERS[reader](path)
 
 
 @pytest.mark.parametrize("name", sorted(STAGES))

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from satfuse.synthetic import (
     assemble_pairs,
     degrade,
     gen_hyper_scene,
+    load_manifest,
     make_fusion_dataset,
 )
 
@@ -229,6 +231,14 @@ class TestMakeFusionDataset:
         on_disk = json.loads((out / "manifest.json").read_text())
         assert "_dir" not in on_disk
         assert on_disk == {k: v for k, v in manifest.items() if k != "_dir"}
+
+    def test_bytes_paths_round_trip(self, tmp_path):
+        out = tmp_path / "set"
+        made = make_fusion_dataset(SceneConfig(seed=0, width=16, height=16, n_bands=4, scale=4),
+                                   3, os.fsencode(out))
+        loaded = load_manifest(os.fsencode(out / "manifest.json"))
+        assert made == loaded and loaded["_dir"] == str(out)
+        assert len(assemble_pairs(loaded, "train")) == 1
 
     def test_too_few_scenes(self, tmp_path):
         with pytest.raises(ValidationError):
