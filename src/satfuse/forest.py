@@ -538,8 +538,15 @@ def load_quadrats_csv(path):
 
 
 def save_samples_csv(path, quadrats, targets, features, band_names) -> None:
+    """Write a samples CSV: one row per quadrat, its finite target and its
+    band values; every argument is checked before the file is opened."""
     path = parameter("path", path, *PATH, ValidationError)
+    quadrats = instances("quadrats", quadrats, Quadrat, ValidationError)
+    targets = array("targets", targets, ValidationError, ndim=1, finite=True)
+    if len(targets) != len(quadrats):
+        raise ValidationError(f"{len(targets)} targets for {len(quadrats)} quadrats")
     features = array("features", features, ValidationError, ndim=2)
+    band_names = instances("band_names", band_names, str, ValidationError)
     if features.shape != (len(quadrats), len(band_names)):
         raise ValidationError("features shape must be (n_quadrats, n_bands)")
     with open(path, "w", newline="") as fh:

@@ -41,8 +41,12 @@ __all__ = [
     "load_checkpoint",
 ]
 
-# elements budget for one im2col slab (float64) ~ 256 MB
-_COL_BUDGET = 2**25
+# elements of one im2col slab (float64), 32 MB.  A column matrix much larger
+# than the cache is written to memory and read back before its GEMM: on a
+# 2-core host with OpenBLAS 0.3.31, a 640x640 `spectral` inference took
+# 4.4-5.2 s at 2**25 (256 MB slabs) against 3.4-3.6 s here, and 4.5-4.7 s at
+# 2**19, where the GEMMs get too thin.  Slabbing leaves every output bit as is.
+_COL_BUDGET = 2**22
 
 
 @dataclass(frozen=True)
@@ -235,12 +239,14 @@ def _conv2d(x: np.ndarray, w: np.ndarray, keep_cols: bool = False, ws: dict | No
     """Same-size convolution with replicate-edge padding.
 
     x: (C_in, B, H, W), w: (C_out, C_in, k, k) -> (C_out, B, H, W).
-    Large inputs are processed in row slabs to bound im2col memory; with
-    `keep_cols` the padded column matrix of :func:`_conv_gemm` is returned for
-    gradient reuse (training patches are small, so no slabbing happens on that
-    path).  Arrays come from the workspace `ws` under keys starting with `key`,
-    except that columns not kept share one array across layers; the result is
-    one of them.
+    A column matrix of more than `_COL_BUDGET` elements is processed in row
+    slabs: every layer of a 176x176 ``spectral`` inference tile, and layer 1
+    of a validation batch of 16 training patches.  With `keep_cols` the whole padded column
+    matrix of :func:`_conv_gemm` is returned for gradient reuse, never in
+    slabs (a training batch of 16 16x16 patches keeps at most 1600 x 4096
+    elements, 52 MB, per layer).  Arrays come from the workspace `ws` under
+    keys starting with `key`, except that columns not kept share one array
+    across layers; the result is one of them.
     """
     c_in, B, H, W = x.shape
     c_out, _, k, _ = w.shape
@@ -409,7 +415,9 @@ def backward(model: SrcnnModel, x: np.ndarray, grad_out: np.ndarray):
     Training never needs the input gradient of layer 0; here it is computed
     as a direct convolution whose column matrix has C_out*k*k rows for layer
     0's kernel k and filter count C_out (5184 for a 9x9 kernel and 64
-    filters), in row slabs of at most `_COL_BUDGET` elements.
+    filters), in row slabs of at most `_COL_BUDGET` elements.  A 64x64 image
+    therefore peaks at about 149 MB traced; held whole, those columns take
+    215 MB and the peak 331 MB.
     """
     instance("model", model, SrcnnModel, ConfigError)
     x = array("x", x, ShapeError, ndim=3, finite=True)
@@ -486,6 +494,10 @@ def infer_tiled(
     region between its seams, so the result equals a whole-image pass
     wherever the overlap is at least the receptive-field radius.  The input
     mask propagates unchanged to the output.
+
+    Beside the output, memory holds one tile's arrays: each tile's input is
+    copied from `inputs` with invalid pixels set to zero, and its centre is
+    written straight into the float32 output that the result keeps.
     """
     instance("model", model, SrcnnModel, ConfigError)
     _require_raster("inputs", inputs, ShapeError)
@@ -501,14 +513,17 @@ def infer_tiled(
         )
     if tile <= 2 * overlap:
         raise ConfigError(f"tile {tile} leaves no center region within overlap {overlap}")
-    x = inputs.filled_values()
-    _, H, W = x.shape
+    values, mask = inputs.values, inputs.mask
+    H, W = mask.shape
     c_out = model.arch.out_channels
-    out = np.empty((c_out, H, W), dtype=np.float64)
+    out = np.empty((c_out, H, W), dtype=np.float32)
     ws: dict = {}  # the tiles' arrays, freed on return
     for r0, r1, wr0, wr1 in _tile_spans(H, tile, overlap):
         for c0, c1, wc0, wc1 in _tile_spans(W, tile, overlap):
-            y, _ = _forward_batch(model, x[:, None, r0:r1, c0:c1], ws=ws)
+            # the tile's float32 input with invalid pixels set to zero; the
+            # first layer's padding widens it to float64 exactly
+            x = np.where(mask[r0:r1, c0:c1], values[:, r0:r1, c0:c1], np.float32(0))
+            y, _ = _forward_batch(model, x[:, None], ws=ws)
             out[:, wr0:wr1, wc0:wc1] = y[:, 0, wr0 - r0 : wr1 - r0, wc0 - c0 : wc1 - c0]
     if band_names is None:
         band_names = [f"band{i}" for i in range(c_out)]

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (COUNT, INDEX, PATH, POSITIVE, ConfigError, DataError, ShapeError,
-                     ValidationError, check_fields, instance, parameter, real_number)
+                     ValidationError, check_fields, instance, parameter, real_number,
+                     whole_number)
 from .raster import Raster
 from .srcnn import ArchConfig, _backward_batch, _forward_batch, _masked_error, build_model
 
@@ -236,9 +237,19 @@ def train(
     return model, loss_log
 
 
+def _loss_row(row) -> tuple[int, float, float]:
+    epoch, tr, va = row
+    return whole_number(epoch), real_number(tr), real_number(va)
+
+
 def loss_log_to_csv(loss_log, path) -> None:
+    """Write `train`'s loss log, rows of (integer epoch, finite, finite), as
+    CSV; every argument is checked before the file is opened."""
     path = parameter("path", path, *PATH, ValidationError)
+    rows = parameter("loss_log", loss_log, lambda log: [_loss_row(row) for row in log],
+                     lambda rows: True, "rows of (integer epoch, finite, finite)",
+                     ValidationError)
     with open(path, "w") as fh:
         fh.write("epoch,train_loss,val_loss\n")
-        for epoch, tr, va in loss_log:
+        for epoch, tr, va in rows:
             fh.write(f"{epoch},{tr!r},{va!r}\n")

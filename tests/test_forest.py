@@ -652,6 +652,21 @@ class TestSamplesCsv:
         assert np.array_equal(t2, targets)
         assert np.array_equal(f2, feats)
 
+    @pytest.mark.parametrize("quadrats, targets, names, match", [
+        (None, [1.0], ["b"], "quadrats must be"),
+        (["q"], [1.0], ["b"], "quadrats must be"),
+        ([Quadrat("q", 1.0, 1.0)], None, ["b"], "targets must be"),
+        ([Quadrat("q", 1.0, 1.0)], [np.nan], ["b"], "targets must be"),
+        ([Quadrat("q", 1.0, 1.0)], [1.0, 2.0], ["b"], "2 targets for 1 quadrats"),
+        ([Quadrat("q", 1.0, 1.0)], [1.0], [7], "band_names must be"),
+    ])
+    def test_bad_argument_refused_before_the_file_is_opened(self, tmp_path, quadrats, targets,
+                                                            names, match):
+        p = tmp_path / "samples.csv"
+        with pytest.raises(ValidationError, match=match):
+            save_samples_csv(p, quadrats, targets, np.ones((1, 1)), names)
+        assert not p.exists()
+
     def test_model_json_round_trip(self, tmp_path):
         X, y = linear_benchmark(n=50, seed=13)
         model = fit_forest(X, y, ForestConfig(n_trees=10), seed=5)

@@ -373,6 +373,48 @@ class TestInferTiled:
         whole = forward(m, r.filled_values())
         assert np.max(np.abs(out.values.astype(np.float64) - whole)) < 1e-5
 
+    def test_output_bytes_do_not_depend_on_the_budget(self, monkeypatch):
+        # 2x2 tiles of 114x116 pixels: 2**25 slabs no layer, the default slabs
+        # every layer, and 2**19 cuts them into slabs of 5, 2 and 5 rows
+        m = build_model(preset("spectral"), seed=9)
+        r = self._raster(9, 200, 196, 11)
+        r.mask[np.random.default_rng(9).uniform(size=r.mask.shape) < 0.3] = False
+        r.mask[:40, :50] = False
+        zeroed = Raster(r.grid, np.where(r.mask, r.values, 0), r.band_names, r.mask)
+        r.values[:, ~r.mask] = np.nan
+        got = {}
+        for budget in (2**25, srcnn._COL_BUDGET, 2**19):
+            monkeypatch.setattr(srcnn, "_COL_BUDGET", budget)
+            got[budget] = infer_tiled(m, r, tile=128).values
+        monkeypatch.undo()
+        got["zeroed"] = infer_tiled(m, zeroed, tile=128).values
+        assert all(v.dtype == np.float32 for v in got.values())
+        assert len({v.tobytes() for v in got.values()}) == 1
+
+    def test_memory_is_bounded_by_the_tile(self):
+        # a 320x320 scene at tile 256 runs as 2x2 tiles of 176x176 pixels.  At
+        # the budget of 2**22 elements every layer's column matrix is cut into
+        # slabs of at most 4.2 million elements (34 MB; the 32-row padding of
+        # its inner axis adds < 1%), and the workspace holds one of them, or
+        # two while it grows: 67 MB.  Then the tile arrays: the float32 input,
+        # and per layer the padded input, the pre-activation, the activation,
+        # the output slab (all float64) and the activation's bool mask, 110 MB
+        # for the 'spectral' preset; and the scene's float32 output and mask,
+        # 3.4 MB.  That bounds the peak by 180 MB; it was 122 MB, and 573 MB at
+        # a budget of 2**25, whose layer-1 slab alone took 268 MB.
+        m = build_model(preset("spectral"), seed=10)
+        r = self._raster(10, 320, 320, 11)
+        h = w = 176
+        tile_arrays = 11 * h * w * 4
+        for c_in, (k, f) in zip(m.arch.channel_chain, m.arch.layers):
+            p = k // 2
+            tile_arrays += 8 * (c_in * (h + 2 * p) * (w + 2 * p) + 3 * f * h * w) + f * h * w
+        scene = (8 * 4 + 1) * 320 * 320
+        bound = 2 * 2**22 * 8 + tile_arrays + scene
+        peak, out = traced_peak(infer_tiled, m, r, 256)
+        assert out.values.shape == (8, 320, 320)
+        assert peak < bound, (peak / 1e6, bound / 1e6)
+
     def test_fully_masked_propagates(self):
         m = build_model(ArchConfig(2, 2, ((3, 4), (3, 2))), seed=2)
         r = self._raster(2, 32, 32, 2)

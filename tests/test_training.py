@@ -11,9 +11,10 @@ from scipy.ndimage import gaussian_filter
 
 import satfuse
 
-from satfuse.errors import ConfigError, DataError, ShapeError
+from satfuse import srcnn
+from satfuse.errors import ConfigError, DataError, ShapeError, ValidationError
 from satfuse.raster import Raster
-from satfuse.srcnn import ArchConfig
+from satfuse.srcnn import ArchConfig, preset
 from satfuse.training import TrainConfig, loss_log_to_csv, train
 
 from conftest import make_grid
@@ -181,6 +182,33 @@ def test_fixed_seed_training_output_is_pinned(tmp_path):
     assert got["checkpoint_sha256"] == "2a1b17a6e28298ff928bc488cd5bb5b08b3ed15582a5fea2ed3f38fb47962ff1"
 
 
+def test_default_batch_training_bits_do_not_depend_on_the_budget(monkeypatch):
+    """At the default batch of 16 the column budget cuts layer 1's input
+    gradient (800 x 16 x 20 x 20 elements) and the validation forward of
+    layer 1 (1600 x 16 x 16 x 16) into row slabs, which 2**25 leaves whole;
+    the weights and the loss log keep every bit."""
+    pairs = [(smooth_pair(s, nb=11)[0], smooth_pair(s + 20)[0]) for s in (15, 16)]
+    val_pairs = [(smooth_pair(17, nb=11)[0], smooth_pair(37)[0])]
+    cfg = TrainConfig(scale=8, patch_coarse=2, batch_size=16, learning_rate=1e-3, epochs=2,
+                      seed=4)
+    conv_gemm = srcnn._conv_gemm
+    runs = []
+    for budget in (srcnn._COL_BUDGET, 2**25):
+        monkeypatch.setattr(srcnn, "_COL_BUDGET", budget)
+        rows = []
+
+        def counting_gemm(wmat, xp, k, out, ws, cols_key):
+            rows.append(out.shape[2])
+            return conv_gemm(wmat, xp, k, out, ws, cols_key)
+
+        monkeypatch.setattr(srcnn, "_conv_gemm", counting_gemm)
+        model, log = train(preset("spectral"), pairs, cfg, val_pairs=val_pairs)
+        runs.append((b"".join(w.tobytes() for w in model.weights), log, min(rows)))
+    (w_default, log_default, rows_default), (w_whole, log_whole, rows_whole) = runs
+    assert rows_default < 16 == rows_whole  # slabs at the default budget only
+    assert w_default == w_whole and log_default == log_whole
+
+
 def test_one_log_event_per_epoch(caplog):
     pairs = [smooth_pair(13), smooth_pair(14)]
     cfg = TrainConfig(scale=8, patch_coarse=2, batch_size=8, learning_rate=1e-2, epochs=3, seed=0)
@@ -202,3 +230,11 @@ class TestLossLogCsv:
         lines = p.read_text().strip().splitlines()
         assert lines[0] == "epoch,train_loss,val_loss"
         assert lines[1].startswith("0,0.5,")
+
+    @pytest.mark.parametrize("log", [None, ["ab"], [(0.5, 0.1, 0.2)], [(0, 0.1, float("nan"))],
+                                     [(0, 0.1, "0.2")], [(0, 0.1)]])
+    def test_bad_log_refused_before_the_file_is_opened(self, tmp_path, log):
+        p = tmp_path / "loss.csv"
+        with pytest.raises(ValidationError, match="loss_log must be"):
+            loss_log_to_csv(log, p)
+        assert not p.exists()
