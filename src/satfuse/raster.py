@@ -182,6 +182,11 @@ class Raster:
         return out
 
 
+def _filled_window(r: Raster, rows: slice, cols: slice) -> np.ndarray:
+    """`r`'s float32 values in a window, with its invalid pixels set to zero."""
+    return np.where(r.mask[rows, cols], r.values[:, rows, cols], np.float32(0))
+
+
 def _require_raster(name: str, r, error=ValidationError) -> Raster:
     """The library argument `name` if it is a Raster with at least one band;
     an `error` naming it otherwise."""

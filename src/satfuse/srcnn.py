@@ -24,7 +24,7 @@ from .bsf import read_block, read_framed, write_framed
 from .errors import (COUNT, FINITE, INDEX, ConfigError, CorruptionError, ShapeError, array,
                      check_fields, finite, instance, integer, parameter, parse_errors,
                      whole_number)
-from .raster import Raster, _require_raster
+from .raster import Raster, _filled_window, _require_raster
 
 __all__ = [
     "ArchConfig",
@@ -162,6 +162,9 @@ def build_model(arch: ArchConfig, seed: int = 0) -> SrcnnModel:
 # nearly one shape, so the arrays of a pass can come from a workspace: a plain
 # dict, owned by one `train` or `infer_tiled` call, that keeps one flat array
 # per key and hands out views of it.  Without a workspace each array is new.
+# Keys name roles, not layers, since a layer's arrays are dead once the next
+# layer has read them; only the backward cache is per layer: (layer, "cols")
+# and (layer, "positive").
 
 
 def _scratch(ws: dict | None, key, shape, dtype=np.float64) -> np.ndarray:
@@ -234,37 +237,35 @@ def _conv_gemm(wmat: np.ndarray, xp: np.ndarray, k: int, out: np.ndarray, ws: di
     return cols
 
 
-def _conv2d(x: np.ndarray, w: np.ndarray, keep_cols: bool = False, ws: dict | None = None,
-            key=None):
+def _conv2d(x: np.ndarray, w: np.ndarray, ws: dict | None = None, cols_key=None):
     """Same-size convolution with replicate-edge padding.
 
-    x: (C_in, B, H, W), w: (C_out, C_in, k, k) -> (C_out, B, H, W).
-    A column matrix of more than `_COL_BUDGET` elements is processed in row
-    slabs: every layer of a 176x176 ``spectral`` inference tile, and layer 1
-    of a validation batch of 16 training patches.  With `keep_cols` the whole padded column
-    matrix of :func:`_conv_gemm` is returned for gradient reuse, never in
-    slabs (a training batch of 16 16x16 patches keeps at most 1600 x 4096
-    elements, 52 MB, per layer).  Arrays come from the workspace `ws` under
-    keys starting with `key`, except that columns not kept share one array
-    across layers; the result is one of them.
+    x: (C_in, B, H, W), float64 or float32 (the padding widens it exactly),
+    w: (C_out, C_in, k, k) -> the workspace array "z", (C_out, B, H, W); `x`
+    may be a view of "z", as it is read into "pad" first.  A column matrix of
+    more than `_COL_BUDGET` elements is processed in row slabs: every layer of
+    a 176x176 ``spectral`` inference tile, and layer 1 of a validation batch
+    of 16 training patches.  With `cols_key` the whole padded column matrix of
+    :func:`_conv_gemm` is kept under that key and returned for gradient reuse,
+    never in slabs (a training batch of 16 16x16 patches keeps at most 1600 x
+    4096 elements, 52 MB, per layer).
     """
     c_in, B, H, W = x.shape
     c_out, _, k, _ = w.shape
     p = k // 2
-    xp = _pad_edge(x, p, _scratch(ws, (key, "pad"), (c_in, B, H + 2 * p, W + 2 * p)))
+    xp = _pad_edge(x, p, _scratch(ws, "pad", (c_in, B, H + 2 * p, W + 2 * p)))
     wmat = w.reshape(c_out, c_in * k * k)
-    out = _scratch(ws, (key, "z"), (c_out, B, H, W))
-    if keep_cols:
-        return out, _conv_gemm(wmat, xp, k, out, ws, (key, "cols"))
-    _conv_gemm_slabbed(wmat, xp, k, out, ws, key)
+    out = _scratch(ws, "z", (c_out, B, H, W))
+    if cols_key is not None:
+        return out, _conv_gemm(wmat, xp, k, out, ws, cols_key)
+    _conv_gemm_slabbed(wmat, xp, k, out, ws)
     return out, None
 
 
 def _conv_gemm_slabbed(wmat: np.ndarray, xp: np.ndarray, k: int, out: np.ndarray,
-                       ws: dict | None, key) -> None:
-    """:func:`_conv_gemm` into `out`, in row slabs when its column matrix
-    would pass `_COL_BUDGET` elements.  The columns share the workspace array
-    "cols"; slabs use the one under (`key`, "slab")."""
+                       ws: dict | None) -> None:
+    """:func:`_conv_gemm` into `out`, in row slabs (the workspace array
+    "slab") when its column matrix would pass `_COL_BUDGET` elements."""
     C = xp.shape[0]
     R, B, H, W = out.shape
     if C * k * k * B * H * W <= _COL_BUDGET:
@@ -273,7 +274,7 @@ def _conv_gemm_slabbed(wmat: np.ndarray, xp: np.ndarray, k: int, out: np.ndarray
     rows_per = max(1, _COL_BUDGET // max(1, C * k * k * B * W))
     for r0 in range(0, H, rows_per):
         r1 = min(H, r0 + rows_per)
-        slab = _scratch(ws, (key, "slab"), (R, B, r1 - r0, W))
+        slab = _scratch(ws, "slab", (R, B, r1 - r0, W))
         _conv_gemm(wmat, xp[:, :, r0 : r1 + k - 1, :], k, slab, ws, "cols")
         out[:, :, r0:r1, :] = slab
 
@@ -294,10 +295,8 @@ def _fold_replicate_padding(g: np.ndarray, p: int) -> np.ndarray:
     return g[..., :, p : Wp - p]
 
 
-def _conv2d_backward(
-    cols: np.ndarray, w: np.ndarray, gout: np.ndarray, input_grad: bool = True,
-    ws: dict | None = None, key=None,
-) -> tuple[np.ndarray | None, np.ndarray]:
+def _conv2d_backward(cols: np.ndarray, w: np.ndarray, gout: np.ndarray, input_grad: bool = True,
+                     ws: dict | None = None) -> tuple[np.ndarray | None, np.ndarray]:
     """Gradients of :func:`_conv2d` given its padded column matrix `cols`.
 
     gout: (C_out, B, H, W).  The weight gradient is one GEMM with `cols`.
@@ -322,17 +321,9 @@ def _conv2d_backward(
     gz.fill(0.0)
     gz[:, :, 2 * p : 2 * p + H, 2 * p : 2 * p + W] = gout
     w_t = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c_in, c_out * k * k)
-    gxp = _scratch(ws, (key, "gpad"), (c_in, B, H + 2 * p, W + 2 * p))
-    _conv_gemm_slabbed(w_t, gz, k, gxp, ws, key)
+    gxp = _scratch(ws, "gpad", (c_in, B, H + 2 * p, W + 2 * p))
+    _conv_gemm_slabbed(w_t, gz, k, gxp, ws)
     return _fold_replicate_padding(gxp, p), gw
-
-
-def _leaky(z: np.ndarray, slope: float, out: np.ndarray, positive: np.ndarray) -> np.ndarray:
-    """LeakyReLU of `z` into `out`; records the mask z > 0 in `positive`."""
-    np.greater(z, 0, out=positive)
-    np.multiply(z, slope, out=out)
-    np.copyto(out, z, where=positive)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +331,6 @@ def _leaky(z: np.ndarray, slope: float, out: np.ndarray, positive: np.ndarray) -
 
 
 def _check_input(model: SrcnnModel, x: np.ndarray):
-    if x.ndim != 4:
-        raise ShapeError("expected a (channels, batch, H, W) tensor")
     if x.shape[0] != model.arch.in_channels:
         raise ShapeError(
             f"input has {x.shape[0]} channels, network expects {model.arch.in_channels}"
@@ -355,7 +344,7 @@ def _check_input(model: SrcnnModel, x: np.ndarray):
 
 def _forward_batch(model: SrcnnModel, x: np.ndarray, keep_cache: bool = False,
                    ws: dict | None = None):
-    """x: (C_in, B, H, W) float64 -> (C_out, B, H, W) plus backward cache.
+    """x: (C_in, B, H, W) float64 or float32 -> (C_out, B, H, W) plus backward cache.
 
     With a workspace `ws` the output and the cache live in its arrays, valid
     until the next pass that uses `ws`.
@@ -366,12 +355,13 @@ def _forward_batch(model: SrcnnModel, x: np.ndarray, keep_cache: bool = False,
     cache = [] if keep_cache else None
     a = x
     for li, w in enumerate(model.weights):
-        z, cols = _conv2d(a, w, keep_cols=keep_cache, ws=ws, key=li)
-        if li == n_layers - 1:
-            a, positive = z, None
-        else:
-            positive = _scratch(ws, (li, "positive"), z.shape, bool)
-            a = _leaky(z, slope, _scratch(ws, (li, "act"), z.shape), positive)
+        a, cols = _conv2d(a, w, ws, (li, "cols") if keep_cache else None)
+        positive = None
+        if li < n_layers - 1:
+            # LeakyReLU in place, mask first: a negative slope makes negatives positive
+            mask_key = (li, "positive") if keep_cache else "positive"
+            positive = np.greater(a, 0, out=_scratch(ws, mask_key, a.shape, bool))
+            np.multiply(a, slope, out=a, where=~positive)
         if keep_cache:
             cache.append((cols, positive))
     return a, cache
@@ -388,12 +378,10 @@ def _backward_batch(model: SrcnnModel, cache, gout: np.ndarray, input_grad: bool
         cols, positive = cache[li]
         if positive is not None:
             # chain rule through LeakyReLU: g * (1 where z > 0, else slope)
-            gz = np.multiply(g, slope, out=_scratch(ws, (li, "gact"), g.shape))
+            gz = np.multiply(g, slope, out=_scratch(ws, "gact", g.shape))
             np.copyto(gz, g, where=positive)
             g = gz
-        g, grads[li] = _conv2d_backward(
-            cols, model.weights[li], g, input_grad=input_grad or li > 0, ws=ws, key=li
-        )
+        g, grads[li] = _conv2d_backward(cols, model.weights[li], g, input_grad or li > 0, ws)
     return grads, g
 
 
@@ -435,22 +423,33 @@ def backward(model: SrcnnModel, x: np.ndarray, grad_out: np.ndarray):
 def _masked_error(pred: np.ndarray, target: np.ndarray, mask: np.ndarray):
     """Masked difference, its squared sum and the number of valid values.
 
-    pred, target: channels first, (C, H, W) or (C, B, H, W); `mask` is the
-    float validity of the trailing axes and broadcasts over the channels.
+    pred, target: channels first, (C, H, W) or (C, B, H, W); `mask`, bool or
+    float, is the validity of the axes after the channels.
     """
     d = (pred - target) * mask
     return d, float((d * d).sum()), float(mask.sum()) * pred.shape[0]
 
 
+def _loss_arrays(pred, target, mask):
+    """:func:`masked_mse`'s arguments as finite float64 arrays of shapes
+    (C, ...), (C, ...) and (...)."""
+    pred, target, mask = (array(name, v, ShapeError, finite=True)
+                          for name, v in (("pred", pred), ("target", target), ("mask", mask)))
+    if pred.ndim == 0 or target.shape != pred.shape or mask.shape != pred.shape[1:]:
+        raise ShapeError(f"pred, target and mask must have shapes (C, ...), (C, ...) and (...), "
+                         f"got {pred.shape}, {target.shape} and {mask.shape}")
+    return pred, target, mask
+
+
 def masked_mse(pred: np.ndarray, target: np.ndarray, mask: np.ndarray) -> float:
     """Mean squared error over valid pixels (mask broadcasts over channels)."""
-    _, sq, n = _masked_error(pred, target, mask.astype(np.float64))
+    _, sq, n = _masked_error(*_loss_arrays(pred, target, mask))
     return sq / n if n else 0.0
 
 
 def masked_mse_grad(pred: np.ndarray, target: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    d, _, n = _masked_error(pred, target, mask.astype(np.float64))
-    return 2.0 * d / n if n else np.zeros_like(pred)
+    d, _, n = _masked_error(*_loss_arrays(pred, target, mask))
+    return 2.0 * d / n if n else np.zeros_like(d)
 
 
 # ---------------------------------------------------------------------------
@@ -513,16 +512,13 @@ def infer_tiled(
         )
     if tile <= 2 * overlap:
         raise ConfigError(f"tile {tile} leaves no center region within overlap {overlap}")
-    values, mask = inputs.values, inputs.mask
-    H, W = mask.shape
+    H, W = inputs.mask.shape
     c_out = model.arch.out_channels
     out = np.empty((c_out, H, W), dtype=np.float32)
     ws: dict = {}  # the tiles' arrays, freed on return
     for r0, r1, wr0, wr1 in _tile_spans(H, tile, overlap):
         for c0, c1, wc0, wc1 in _tile_spans(W, tile, overlap):
-            # the tile's float32 input with invalid pixels set to zero; the
-            # first layer's padding widens it to float64 exactly
-            x = np.where(mask[r0:r1, c0:c1], values[:, r0:r1, c0:c1], np.float32(0))
+            x = _filled_window(inputs, slice(r0, r1), slice(c0, c1))
             y, _ = _forward_batch(model, x[:, None], ws=ws)
             out[:, wr0:wr1, wc0:wc1] = y[:, 0, wr0 - r0 : wr1 - r0, wc0 - c0 : wc1 - c0]
     if band_names is None:

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import (COUNT, INDEX, PATH, POSITIVE, ConfigError, DataError, ShapeError,
                      ValidationError, check_fields, instance, parameter, real_number,
                      whole_number)
-from .raster import Raster
+from .raster import Raster, _filled_window
 from .srcnn import ArchConfig, _backward_batch, _forward_batch, _masked_error, build_model
 
 __all__ = ["TrainConfig", "train", "loss_log_to_csv"]
@@ -65,13 +65,6 @@ class TrainConfig:
         return (self.patch_stride_coarse or self.patch_coarse) * self.scale
 
 
-@dataclass
-class _PairData:
-    x: np.ndarray      # (C_in, H, W) float64, invalid zero-filled
-    t: np.ndarray      # (C_out, H, W)
-    mask: np.ndarray   # (H, W) float64 joint validity
-
-
 class _Adam:
     def __init__(self, shapes, cfg: TrainConfig):
         self.m = [np.zeros(s) for s in shapes]
@@ -92,7 +85,8 @@ class _Adam:
             w -= c.learning_rate * (m / b1c) / (np.sqrt(v / b2c) + c.eps)
 
 
-def _prepare_pairs(name: str, pairs, arch: ArchConfig) -> list[_PairData]:
+def _prepare_pairs(name: str, pairs, arch: ArchConfig):
+    """The checked pairs, not copied, as (input, target, joint bool mask)."""
     pairs = parameter(name, pairs, lambda ps: [(inp, tgt) for inp, tgt in ps],
                       lambda ps: all(isinstance(r, Raster) for pair in ps for r in pair),
                       "a list of (input, target) Raster pairs", DataError)
@@ -110,30 +104,31 @@ def _prepare_pairs(name: str, pairs, arch: ArchConfig) -> list[_PairData]:
             raise ShapeError(
                 f"target raster has {tgt.n_bands} bands, network expects {arch.out_channels}"
             )
-        mask = (inp.mask & tgt.mask).astype(np.float64)
-        out.append(_PairData(inp.filled_values(), tgt.filled_values(), mask))
+        out.append((inp, tgt, inp.mask & tgt.mask))
     return out
 
 
-def _patch_pool(data: list[_PairData], side: int, stride: int) -> list[tuple[int, int, int]]:
+def _patch_pool(data, side: int, stride: int) -> list[tuple[int, int, int]]:
     pool = []
-    for pi, d in enumerate(data):
-        H, W = d.mask.shape
+    for pi, (_, _, mask) in enumerate(data):
+        H, W = mask.shape
         if side > H or side > W:
             raise ConfigError(f"patch side {side} exceeds image dims {H}x{W}")
         for i0 in range(0, H - side + 1, stride):
             for j0 in range(0, W - side + 1, stride):
-                if d.mask[i0 : i0 + side, j0 : j0 + side].any():
+                if mask[i0 : i0 + side, j0 : j0 + side].any():
                     pool.append((pi, i0, j0))
     return pool
 
 
 def _batch_arrays(data, entries, side):
-    """Patch batches in the network's (channels, batch, H, W) layout."""
-    xb = np.stack([data[pi].x[:, i0 : i0 + side, j0 : j0 + side] for pi, i0, j0 in entries], axis=1)
-    tb = np.stack([data[pi].t[:, i0 : i0 + side, j0 : j0 + side] for pi, i0, j0 in entries], axis=1)
-    mb = np.stack([data[pi].mask[i0 : i0 + side, j0 : j0 + side] for pi, i0, j0 in entries])
-    return xb, tb, mb[None, :, :, :]
+    """Patch batches in the network's (channels, batch, H, W) layout: the
+    float32 inputs and targets with their invalid pixels set to zero, and the
+    bool joint validity, (1, batch, H, W)."""
+    cuts = [(data[pi], slice(i0, i0 + side), slice(j0, j0 + side)) for pi, i0, j0 in entries]
+    xb, tb = (np.stack([_filled_window(pair[i], r, c) for pair, r, c in cuts], axis=1)
+              for i in (0, 1))
+    return xb, tb, np.stack([pair[2][r, c] for pair, r, c in cuts])[None]
 
 
 def _pool_pass(model, data, entries, side, batch_size, ws, adam: _Adam | None = None) -> float:

@@ -24,10 +24,11 @@ its grid (`GeoGrid`, `Raster`, `stack_bands`, `block_mean`,
 `fit_band_weights`, `BandWeights`, `simulate_bands`), `nnls` and
 `kkt_residuals`, `assemble_pairs` on a manifest whose scenes name no file
 to read, and the networks (`ArchConfig`, `preset`, `build_model`,
-`forward`, `backward`, `TrainConfig`, `train`, `infer_tiled`,
-`save_checkpoint`).  `test_every_export_is_fuzzed_or_excluded` keeps the list
-complete: every callable that `satfuse` exports is either fuzzed here or
-excluded with a reason.
+`forward`, `backward`, `masked_mse`, `masked_mse_grad`, `TrainConfig`,
+`train`, `infer_tiled`, `save_checkpoint`).
+`test_every_export_is_fuzzed_or_excluded` keeps the list complete: every
+callable that `satfuse` exports is either fuzzed here or excluded with a
+reason.
 
 A fuzz case passes when a malformed value is accepted, so the calls that
 used to be accepted or to escape are also listed one by one in
@@ -62,7 +63,8 @@ from satfuse.spectral import (BandWeights, HyperBandSpec, SpectralResponseTable,
                               evenly_spaced_camera, fit_band_weights, gaussian_design_matrix,
                               simulate_bands, synthetic_vnir_srf)
 from satfuse.srcnn import (ArchConfig, backward, build_model, forward, infer_tiled,
-                           load_checkpoint, preset, save_checkpoint)
+                           load_checkpoint, masked_mse, masked_mse_grad, preset,
+                           save_checkpoint)
 from satfuse.synthetic import (SceneConfig, assemble_pairs, degrade, gen_hyper_scene,
                                load_manifest, make_fusion_dataset)
 from satfuse.training import TrainConfig, loss_log_to_csv, train
@@ -251,6 +253,7 @@ def _object_calls(X, y, model, net):
     cube = _tiny_raster(24, wavelengths=camera.centers)
     wl, resp = srf.bands["B2"]
     x = rng.uniform(size=(2, 6, 6))
+    valid = (x[0] > 0.3).astype(np.float64)  # a loss mask over the axes after the channels
     quadrats = [Quadrat("q0", 2.0, 6.0, 2.0), Quadrat("q1", 5.0, 3.0, 2.0)]
     pair = (_tiny_raster(2), _tiny_raster(2))
     pairs = {**objects, "empty": [], "single": [pair[0]],
@@ -337,7 +340,9 @@ def _object_calls(X, y, model, net):
                        "scene-text": {"scenes": ["a"]}, "dir-number": {"scenes": [], "_dir": 3}},
           "split": {**SCALARS, "list": ["train"]},
           "variant": {**SCALARS, "list": [], "unknown": "bicubic"}}),
-    ]
+    ] + [(fn.__name__, fn, {"pred": x, "target": x[::-1], "mask": valid},
+          {"pred": array_cases(x, rng), "target": array_cases(x, rng),
+           "mask": array_cases(valid, rng)}) for fn in (masked_mse, masked_mse_grad)]
 
 
 # exported callables that `_calls` leaves out, each with the reason
@@ -502,6 +507,12 @@ def _refused():
         ("forward-x-inf", ShapeError, "x", lambda: forward(net, np.full((2, 4, 4), np.inf))),
         ("backward-grad_out-inf", ShapeError, "grad_out",
          lambda: backward(net, np.ones((2, 4, 4)), np.full((2, 4, 4), np.inf))),
+        ("masked_mse-mask-4x4", ShapeError, "mask",
+         lambda: masked_mse(np.ones((2, 3, 3)), np.ones((2, 3, 3)), np.ones((4, 4)))),
+        ("masked_mse-pred-text", ShapeError, "pred",
+         lambda: masked_mse(np.full((2, 3, 3), "a"), np.ones((2, 3, 3)), np.ones((3, 3)))),
+        ("masked_mse_grad-mask-None", ShapeError, "mask",
+         lambda: masked_mse_grad(np.ones((2, 3, 3)), np.ones((2, 3, 3)), None)),
         ("infer_tiled-inputs-None", ShapeError, "inputs", lambda: infer_tiled(net, None)),
         ("save_checkpoint-model-None", C, "model", lambda: save_checkpoint(None, "m.ckpt")),
         ("degrade-fine-None", V, "fine", lambda: degrade(None, scene)),

@@ -50,7 +50,7 @@ def naive_forward(model, x):
     return a
 
 
-def scatter_conv2d_backward(cols, w, gout, input_grad=True, ws=None, key=None):
+def scatter_conv2d_backward(cols, w, gout, input_grad=True, ws=None):
     """Column-scatter (col2im) oracle for `srcnn._conv2d_backward`.
 
     The input gradient is the GEMM of the transposed weights with `gout`,
@@ -139,14 +139,23 @@ class TestForward:
         x = np.random.default_rng(1).uniform(0.1, 1.0, size=(1, 6, 6))
         assert np.allclose(forward(m, x), x, atol=1e-12)
 
-    def test_matches_naive_convolution_oracle(self):
+    @pytest.mark.parametrize("slope", [0.1, 0.0, -0.5, 1.5])
+    def test_matches_naive_convolution_oracle(self, slope):
+        # LeakyReLU scales its input in place and takes the mask z > 0 first,
+        # since a negative slope turns negative values positive; the
+        # gradients read that mask
         rng = np.random.default_rng(2)
-        m = build_model(ArchConfig(4, 3, ((3, 5), (3, 3)), slope=0.1), seed=3)
+        m = build_model(ArchConfig(4, 3, ((3, 5), (3, 3)), slope=slope), seed=3)
         x = rng.standard_normal((4, 8, 8))
         got = forward(m, x)
         want = naive_forward(m, x)
         assert got.shape == (3, 8, 8)
         assert np.max(np.abs(got - want)) < 1e-10
+        g = rng.standard_normal(got.shape)
+        grads, gin = backward(m, x, g)
+        gap = TestBackward._worst_central_difference_gap(
+            lambda: float((forward(m, x) * g).sum()), m.weights + [x], grads + [gin], rng)
+        assert gap < 1e-5
 
     def test_shape_invariance_all_presets(self):
         rng = np.random.default_rng(3)
@@ -396,23 +405,34 @@ class TestInferTiled:
         # the budget of 2**22 elements every layer's column matrix is cut into
         # slabs of at most 4.2 million elements (34 MB; the 32-row padding of
         # its inner axis adds < 1%), and the workspace holds one of them, or
-        # two while it grows: 67 MB.  Then the tile arrays: the float32 input,
-        # and per layer the padded input, the pre-activation, the activation,
-        # the output slab (all float64) and the activation's bool mask, 110 MB
-        # for the 'spectral' preset; and the scene's float32 output and mask,
-        # 3.4 MB.  That bounds the peak by 180 MB; it was 122 MB, and 573 MB at
-        # a budget of 2**25, whose layer-1 slab alone took 268 MB.
+        # two while it grows: 66 MB.  Every other tile array is keyed by its
+        # role and shared by the layers, so it is held once at its largest
+        # (float64): the padded input (layer 1's, 64 x 180 x 180, 17 MB), the
+        # output (layer 0's, 64 x 176 x 176, 16 MB), the output's row slab
+        # (layer 0's 26 rows, 2.3 MB) and the padded weights (0.5 MB).  Then
+        # the bool LeakyReLU mask of layer 0 and its complement (4.0 MB), the
+        # tile's float32 input (1.4 MB), and the scene's float32 output and
+        # mask (3.4 MB).  That bounds the peak by 110 MB; it was 78 MB, and
+        # 123 MB when every layer kept its own padded input, pre-activation,
+        # activation and mask.
         m = build_model(preset("spectral"), seed=10)
         r = self._raster(10, 320, 320, 11)
         h = w = 176
-        tile_arrays = 11 * h * w * 4
+        largest = dict.fromkeys(("cols", "pad", "z", "slab", "wpad"), 0)
         for c_in, (k, f) in zip(m.arch.channel_chain, m.arch.layers):
             p = k // 2
-            tile_arrays += 8 * (c_in * (h + 2 * p) * (w + 2 * p) + 3 * f * h * w) + f * h * w
+            rows = min(h, srcnn._COL_BUDGET // (c_in * k * k * w))
+            inner = -(-c_in * k * k // 32) * 32
+            for role, n in (("cols", inner * rows * w), ("slab", f * rows * w),
+                            ("pad", c_in * (h + 2 * p) * (w + 2 * p)), ("z", f * h * w),
+                            ("wpad", f * inner)):
+                largest[role] = max(largest[role], 8 * n)
+        masks = 2 * m.arch.layers[0][1] * h * w
         scene = (8 * 4 + 1) * 320 * 320
-        bound = 2 * 2**22 * 8 + tile_arrays + scene
+        bound = sum(largest.values()) + largest["cols"] + masks + 11 * h * w * 4 + scene
         peak, out = traced_peak(infer_tiled, m, r, 256)
         assert out.values.shape == (8, 320, 320)
+        assert bound < 111e6
         assert peak < bound, (peak / 1e6, bound / 1e6)
 
     def test_fully_masked_propagates(self):

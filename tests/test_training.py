@@ -17,7 +17,7 @@ from satfuse.raster import Raster
 from satfuse.srcnn import ArchConfig, preset
 from satfuse.training import TrainConfig, loss_log_to_csv, train
 
-from conftest import make_grid
+from conftest import make_grid, random_raster, traced_peak
 
 
 def smooth_pair(seed, w=64, h=64, nb=8):
@@ -110,19 +110,40 @@ class TestTrain:
         assert model.train_meta["n_val_patches"] == 16
 
     def test_masked_pixels_do_not_affect_loss(self):
-        # corrupt masked pixels wildly; loss paths must ignore them
+        # corrupt masked pixels wildly, with 7.0 and NaN in the input and NaN
+        # in the target; loss paths must ignore them, so a batch must not
+        # keep them (NaN * 0 is NaN)
         (inp_a, tgt_a) = smooth_pair(12)
-        inp_b, tgt_b = inp_a.copy(), tgt_a.copy()
-        inp_b.mask[:8, :8] = False
-        vals = inp_b.values.copy()
+        in_mask = np.ones(inp_a.mask.shape, dtype=bool)
+        in_mask[:8, :8] = in_mask[20:28, 20:28] = False
+        tgt_mask = np.ones_like(in_mask)
+        tgt_mask[40:48, 36:44] = False
+        vals, tvals = inp_a.values.copy(), tgt_a.values.copy()
         vals[:, :8, :8] = 7.0
-        inp_b = Raster(inp_b.grid, vals, inp_b.band_names, inp_b.mask)
-        inp_a2 = Raster(inp_a.grid, inp_a.values, inp_a.band_names, inp_b.mask.copy())
+        vals[:, 20:28, 20:28] = tvals[:, 40:48, 36:44] = np.nan
+        inp_b = Raster(inp_a.grid, vals, inp_a.band_names, in_mask)
+        tgt_b = Raster(tgt_a.grid, tvals, tgt_a.band_names, tgt_mask)
+        inp_a2 = Raster(inp_a.grid, inp_a.values, inp_a.band_names, in_mask)
+        tgt_a2 = Raster(tgt_a.grid, tgt_a.values, tgt_a.band_names, tgt_mask)
         cfg = TrainConfig(scale=8, patch_coarse=2, batch_size=8,
                           learning_rate=1e-2, epochs=2, seed=3)
-        _, log_a = train(TINY, [(inp_a2, tgt_a)], cfg)
+        _, log_a = train(TINY, [(inp_a2, tgt_a2)], cfg)
         _, log_b = train(TINY, [(inp_b, tgt_b)], cfg)
-        assert np.allclose([r[1] for r in log_a], [r[1] for r in log_b], rtol=1e-12)
+        assert np.allclose([r[1:] for r in log_a], [r[1:] for r in log_b], rtol=1e-12)
+
+    def test_memory_does_not_grow_with_the_dataset(self):
+        # batches are cut from the rasters themselves, so two more pairs of
+        # 256x256 'spectral' rasters add their joint bool mask, 1 byte per
+        # pixel (0.13 MB), and the patch pool's entries to the traced peak,
+        # not float64 copies of their inputs, targets and masks (160 bytes
+        # per pixel, 21 MB); the rasters are built before tracing starts
+        pairs = [(random_raster(s, 256, 256, 11, mask_fraction=0.2),
+                  random_raster(s + 50, 256, 256, 8, mask_fraction=0.2)) for s in range(4)]
+        cfg = TrainConfig(scale=8, patch_coarse=2, patch_stride_coarse=8, batch_size=2,
+                          epochs=1, seed=0)
+        (small, _), (large, _) = (traced_peak(train, preset("spectral"), pairs[:n], cfg)
+                                  for n in (2, 4))
+        assert large - small < 1e6, (small / 1e6, large / 1e6)
 
 
 # Trains preset "spectral" on a 3-scene dataset of 48x48 pixels: 9 training
