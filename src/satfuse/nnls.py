@@ -30,6 +30,15 @@ same to the bit (tests compare both on band fits and random problems).  If
 phase 1 ends elsewhere, the polished point either fails the KKT re-test or is
 not strictly positive; phase 2 then adds a column or takes the usual blocking
 step from the phase-1 iterate, as an all-lstsq search would.
+
+Phase 1 solves a copy of the Gram matrix whose entries below
+``sqrt(finfo.tiny) * ||A^T A||_inf`` are zero.  The far Gaussian tails of a
+band fit's design matrix leave hundreds of subnormal numbers in ``A^T A``,
+and arithmetic on subnormals is slow: the final 144 x 144 block of band B8
+solved in 0.64 ms against 0.25 ms without them.  Entries that small
+cannot move a solve that the polish redoes anyway, and the threshold is
+relative so that a scaled problem takes the same path.  The gradient, the
+KKT tests, the polish and phase 2 use ``A^T A`` and ``A`` unchanged.
 """
 
 from __future__ import annotations
@@ -94,6 +103,7 @@ def nnls(
     Atb = A.T @ b
     scale = float(np.max(np.abs(AtA).sum(axis=1)))  # ||A^T A||_inf
     kkt_eps = tol * scale if scale > 0 else tol
+    gram = np.where(np.abs(AtA) < np.sqrt(np.finfo(float).tiny) * scale, 0.0, AtA)
 
     x = np.zeros(n)
     passive = np.zeros(n, dtype=bool)
@@ -121,7 +131,7 @@ def nnls(
             z = np.zeros(n)
             if not exact:
                 try:
-                    z[cols] = np.linalg.solve(AtA[np.ix_(cols, cols)], Atb[cols])
+                    z[cols] = np.linalg.solve(gram[np.ix_(cols, cols)], Atb[cols])
                 except np.linalg.LinAlgError:
                     exact = True
                 else:

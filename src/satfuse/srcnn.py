@@ -9,7 +9,9 @@ every layer but the last, no batch normalization, and no bias terms (all
 parameters are convolution weights).
 
 Parameters are float64 in memory for exact gradient checks and are
-serialized as little-endian float32.
+serialized as little-endian float32.  Training, :func:`forward` and
+:func:`backward` compute in float64; :func:`infer_tiled` computes in float32,
+within 1e-5 of a float64 pass.
 """
 
 from __future__ import annotations
@@ -41,11 +43,12 @@ __all__ = [
     "load_checkpoint",
 ]
 
-# elements of one im2col slab (float64), 32 MB.  A column matrix much larger
-# than the cache is written to memory and read back before its GEMM: on a
-# 2-core host with OpenBLAS 0.3.31, a 640x640 `spectral` inference took
-# 4.4-5.2 s at 2**25 (256 MB slabs) against 3.4-3.6 s here, and 4.5-4.7 s at
-# 2**19, where the GEMMs get too thin.  Slabbing leaves every output bit as is.
+# elements of one im2col slab: 16 MB at inference (float32) and 32 MB in
+# training (float64).  A column matrix much larger than the cache is written
+# to memory and read back before its GEMM: on a 2-core host with OpenBLAS
+# 0.3.31, a 640x640 `spectral` inference took 2.6-2.8 s at 2**25 (128 MB
+# slabs) against 1.7-1.8 s here, and 2.2-2.3 s at 2**19, where the GEMMs get
+# too thin.  Slabbing leaves every output bit as is.
 _COL_BUDGET = 2**22
 
 
@@ -164,7 +167,8 @@ def build_model(arch: ArchConfig, seed: int = 0) -> SrcnnModel:
 # per key and hands out views of it.  Without a workspace each array is new.
 # Keys name roles, not layers, since a layer's arrays are dead once the next
 # layer has read them; only the backward cache is per layer: (layer, "cols")
-# and (layer, "positive").
+# and (layer, "positive").  The float arrays take the weights' dtype, float64
+# in training and float32 at inference, and one workspace serves one dtype.
 
 
 def _scratch(ws: dict | None, key, shape, dtype=np.float64) -> np.ndarray:
@@ -227,10 +231,10 @@ def _conv_gemm(wmat: np.ndarray, xp: np.ndarray, k: int, out: np.ndarray, ws: di
     R, B, H, W = out.shape
     K = C * k * k
     Kp = -(-K // _GEMM_ALIGN) * _GEMM_ALIGN
-    cols = _scratch(ws, cols_key, (Kp, B * H * W))
+    cols = _scratch(ws, cols_key, (Kp, B * H * W), wmat.dtype)
     _im2col(xp, k, cols[:K].reshape(C, k * k, B, H, W))
     cols[K:] = 0.0
-    wpad = _scratch(ws, "wpad", (R, Kp))
+    wpad = _scratch(ws, "wpad", (R, Kp), wmat.dtype)
     wpad[:, :K] = wmat
     wpad[:, K:] = 0.0
     np.matmul(wpad, cols, out=out.reshape(R, B * H * W))
@@ -240,22 +244,23 @@ def _conv_gemm(wmat: np.ndarray, xp: np.ndarray, k: int, out: np.ndarray, ws: di
 def _conv2d(x: np.ndarray, w: np.ndarray, ws: dict | None = None, cols_key=None):
     """Same-size convolution with replicate-edge padding.
 
-    x: (C_in, B, H, W), float64 or float32 (the padding widens it exactly),
-    w: (C_out, C_in, k, k) -> the workspace array "z", (C_out, B, H, W); `x`
-    may be a view of "z", as it is read into "pad" first.  A column matrix of
-    more than `_COL_BUDGET` elements is processed in row slabs: every layer of
-    a 176x176 ``spectral`` inference tile, and layer 1 of a validation batch
-    of 16 training patches.  With `cols_key` the whole padded column matrix of
-    :func:`_conv_gemm` is kept under that key and returned for gradient reuse,
-    never in slabs (a training batch of 16 16x16 patches keeps at most 1600 x
-    4096 elements, 52 MB, per layer).
+    x: (C_in, B, H, W), float64 or float32, w: (C_out, C_in, k, k) -> the
+    workspace array "z", (C_out, B, H, W); `x` may be a view of "z", as it is
+    read into "pad" first.  Every array takes the dtype of `w`, so under
+    float64 weights the padding widens a float32 `x` exactly.  A column
+    matrix of more than `_COL_BUDGET` elements is processed in row slabs:
+    every layer of a 176x176 ``spectral`` inference tile, and layer 1 of a
+    validation batch of 16 training patches.  With `cols_key` the whole
+    padded column matrix of :func:`_conv_gemm` is kept under that key and
+    returned for gradient reuse, never in slabs (a training batch of 16 16x16
+    patches keeps at most 1600 x 4096 elements, 52 MB, per layer).
     """
     c_in, B, H, W = x.shape
     c_out, _, k, _ = w.shape
     p = k // 2
-    xp = _pad_edge(x, p, _scratch(ws, "pad", (c_in, B, H + 2 * p, W + 2 * p)))
+    xp = _pad_edge(x, p, _scratch(ws, "pad", (c_in, B, H + 2 * p, W + 2 * p), w.dtype))
     wmat = w.reshape(c_out, c_in * k * k)
-    out = _scratch(ws, "z", (c_out, B, H, W))
+    out = _scratch(ws, "z", (c_out, B, H, W), w.dtype)
     if cols_key is not None:
         return out, _conv_gemm(wmat, xp, k, out, ws, cols_key)
     _conv_gemm_slabbed(wmat, xp, k, out, ws)
@@ -274,7 +279,7 @@ def _conv_gemm_slabbed(wmat: np.ndarray, xp: np.ndarray, k: int, out: np.ndarray
     rows_per = max(1, _COL_BUDGET // max(1, C * k * k * B * W))
     for r0 in range(0, H, rows_per):
         r1 = min(H, r0 + rows_per)
-        slab = _scratch(ws, "slab", (R, B, r1 - r0, W))
+        slab = _scratch(ws, "slab", (R, B, r1 - r0, W), wmat.dtype)
         _conv_gemm(wmat, xp[:, :, r0 : r1 + k - 1, :], k, slab, ws, "cols")
         out[:, :, r0:r1, :] = slab
 
@@ -346,8 +351,9 @@ def _forward_batch(model: SrcnnModel, x: np.ndarray, keep_cache: bool = False,
                    ws: dict | None = None):
     """x: (C_in, B, H, W) float64 or float32 -> (C_out, B, H, W) plus backward cache.
 
-    With a workspace `ws` the output and the cache live in its arrays, valid
-    until the next pass that uses `ws`.
+    The pass computes in the dtype of the model's weights.  With a workspace
+    `ws` the output and the cache live in its arrays, valid until the next
+    pass that uses `ws`.
     """
     _check_input(model, x)
     slope = model.arch.slope
@@ -494,9 +500,13 @@ def infer_tiled(
     wherever the overlap is at least the receptive-field radius.  The input
     mask propagates unchanged to the output.
 
-    Beside the output, memory holds one tile's arrays: each tile's input is
-    copied from `inputs` with invalid pixels set to zero, and its centre is
-    written straight into the float32 output that the result keeps.
+    The tiles run in float32, on a float32 copy of the weights (exact for
+    a model read from a checkpoint), and the result is within 1e-5 of a
+    float64 pass; the same model gives the same bytes before and after a
+    checkpoint round trip.  Beside the output, memory holds one tile's
+    arrays: each tile's input is copied from `inputs` with invalid pixels
+    set to zero, and its centre is written straight into the float32 output
+    that the result keeps.
     """
     instance("model", model, SrcnnModel, ConfigError)
     _require_raster("inputs", inputs, ShapeError)
@@ -515,11 +525,12 @@ def infer_tiled(
     H, W = inputs.mask.shape
     c_out = model.arch.out_channels
     out = np.empty((c_out, H, W), dtype=np.float32)
+    net = replace(model, weights=[w.astype(np.float32) for w in model.weights])
     ws: dict = {}  # the tiles' arrays, freed on return
     for r0, r1, wr0, wr1 in _tile_spans(H, tile, overlap):
         for c0, c1, wc0, wc1 in _tile_spans(W, tile, overlap):
             x = _filled_window(inputs, slice(r0, r1), slice(c0, c1))
-            y, _ = _forward_batch(model, x[:, None], ws=ws)
+            y, _ = _forward_batch(net, x[:, None], ws=ws)
             out[:, wr0:wr1, wc0:wc1] = y[:, 0, wr0 - r0 : wr1 - r0, wc0 - c0 : wc1 - c0]
     if band_names is None:
         band_names = [f"band{i}" for i in range(c_out)]

@@ -171,6 +171,30 @@ class TestNnlsMatchesLstsqOracle:
         for A, b in band_problems(camera):
             assert np.array_equal(nnls(A, b), lawson_hanson_lstsq(A, b))
 
+    @pytest.mark.parametrize("factor", [1e-100, 1e100])
+    def test_scaled_band_fits_take_the_same_path(self, factor, monkeypatch):
+        # phase 1 solves a copy of the Gram matrix without its tiny entries;
+        # "tiny" is relative to ||A^T A||, so a scaled fit still solves its
+        # passive sets from the Gram matrix and polishes once, like the
+        # unscaled fit
+        calls = []
+        lstsq = np.linalg.lstsq
+
+        def counting_lstsq(*args, **kwargs):
+            calls.append(1)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(nnls_module.np.linalg, "lstsq", counting_lstsq)
+        for A, b in band_problems(default_camera()):
+            calls.clear()
+            nnls(A, b)
+            polishes = len(calls)
+            calls.clear()
+            A, b = factor * A, factor * b
+            x = nnls(A, b)
+            assert len(calls) == polishes
+            assert np.array_equal(x, lawson_hanson_lstsq(A, b))
+
     def test_random_problems_identical(self):
         for A, b in random_problems(5):
             assert np.array_equal(nnls(A, b), lawson_hanson_lstsq(A, b))
