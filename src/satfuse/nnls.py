@@ -89,7 +89,14 @@ def nnls(
     """Solve min ||Ax - b||^2 with x >= 0.
 
     `tol` is relative: KKT conditions are enforced within
-    ``tol * ||A^T A||_inf``.  `max_iter` defaults to 3 times the column
+    ``tol * ||A^T A||_inf``.  That bound grows as s**2 when `A` is scaled by
+    s, while the gradient grows only as s, so a scaled problem stops
+    earlier: the first band fit of the default camera ends with 86 positive
+    weights, with 51 for ``1e6 * A`` and at x = 0 for ``1e13 * A``, whose
+    bound exceeds every gradient entry at the start.  ``tol=1e-16`` gives
+    ``1e6 * A`` its 86 weights back, within 2.6e-14 of the unscaled fit
+    once rescaled.  The default stays, as band fits depend on it to the
+    bit.  `max_iter` defaults to 3 times the column
     count; exceeding it raises :class:`SolverError` carrying the best
     iterate found so far in ``best_x``.
     """

@@ -104,7 +104,8 @@ class SpectralResponseTable:
         return list(self.bands.keys())
 
     def to_csv(self, path) -> None:
-        """Write `band,wavelength_nm,response` rows sorted by band then wavelength."""
+        """Write `band,wavelength_nm,response` rows sorted by band then wavelength,
+        each number as its shortest round-trip ``repr``."""
         path = parameter("path", path, *PATH, ValidationError)
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -112,7 +113,7 @@ class SpectralResponseTable:
             for name in sorted(self.bands):
                 wl, resp = self.bands[name]
                 for w, r in zip(wl, resp):
-                    writer.writerow([name, f"{w:.6g}", f"{r:.8g}"])
+                    writer.writerow([name, repr(float(w)), repr(float(r))])
 
     @classmethod
     def from_csv(cls, path) -> "SpectralResponseTable":

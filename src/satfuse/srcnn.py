@@ -162,16 +162,16 @@ def build_model(arch: ArchConfig, seed: int = 0) -> SrcnnModel:
 # and one GEMM per layer, with the GEMM result already in the right layout.
 #
 # Training runs thousands of batches of one shape and inference runs tiles of
-# nearly one shape, so the arrays of a pass can come from a workspace: a plain
-# dict, owned by one `train` or `infer_tiled` call, that keeps one flat array
-# per key and hands out views of it.  Without a workspace each array is new.
-# Keys name roles, not layers, since a layer's arrays are dead once the next
-# layer has read them; only the backward cache is per layer: (layer, "cols")
-# and (layer, "positive").  The float arrays take the weights' dtype, float64
-# in training and float32 at inference, and one workspace serves one dtype.
+# nearly one shape, so the column matrices, the largest arrays of a pass, can
+# come from a workspace: a plain dict, owned by one `train` or `infer_tiled`
+# call, that keeps one flat array per key and hands out views of it.  A pass
+# keeps its columns under "cols", and the backward cache layer li's under
+# (li, "cols").  Every other array is allocated where it is used.  The float
+# arrays take the weights' dtype, float64 in training and float32 at
+# inference, and one workspace serves one dtype.
 
 
-def _scratch(ws: dict | None, key, shape, dtype=np.float64) -> np.ndarray:
+def _scratch(ws: dict | None, key, shape, dtype) -> np.ndarray:
     """An uninitialised array of `shape`.
 
     With a workspace it is a view of the array kept under `key`, which
@@ -187,9 +187,10 @@ def _scratch(ws: dict | None, key, shape, dtype=np.float64) -> np.ndarray:
     return buf[:size].reshape(shape)
 
 
-def _pad_edge(x: np.ndarray, p: int, out: np.ndarray) -> np.ndarray:
-    """Replicate-edge padding of the last two axes by `p`, written into `out`."""
+def _pad_edge(x: np.ndarray, p: int, dtype) -> np.ndarray:
+    """Replicate-edge padding of the last two axes by `p`, as a new array of `dtype`."""
     H, W = x.shape[-2], x.shape[-1]
+    out = np.empty((*x.shape[:-2], H + 2 * p, W + 2 * p), dtype)
     out[..., p : p + H, p : p + W] = x
     out[..., :p, p : p + W] = x[..., :1, :]
     out[..., p + H :, p : p + W] = x[..., -1:, :]
@@ -234,33 +235,28 @@ def _conv_gemm(wmat: np.ndarray, xp: np.ndarray, k: int, out: np.ndarray, ws: di
     cols = _scratch(ws, cols_key, (Kp, B * H * W), wmat.dtype)
     _im2col(xp, k, cols[:K].reshape(C, k * k, B, H, W))
     cols[K:] = 0.0
-    wpad = _scratch(ws, "wpad", (R, Kp), wmat.dtype)
+    wpad = np.zeros((R, Kp), wmat.dtype)
     wpad[:, :K] = wmat
-    wpad[:, K:] = 0.0
     np.matmul(wpad, cols, out=out.reshape(R, B * H * W))
     return cols
 
 
-def _conv2d(x: np.ndarray, w: np.ndarray, ws: dict | None = None, cols_key=None):
-    """Same-size convolution with replicate-edge padding.
+def _conv2d(xp: np.ndarray, w: np.ndarray, ws: dict | None = None, cols_key=None):
+    """Same-size convolution of an input padded by :func:`_pad_edge`.
 
-    x: (C_in, B, H, W), float64 or float32, w: (C_out, C_in, k, k) -> the
-    workspace array "z", (C_out, B, H, W); `x` may be a view of "z", as it is
-    read into "pad" first.  Every array takes the dtype of `w`, so under
-    float64 weights the padding widens a float32 `x` exactly.  A column
-    matrix of more than `_COL_BUDGET` elements is processed in row slabs:
-    every layer of a 176x176 ``spectral`` inference tile, and layer 1 of a
-    validation batch of 16 training patches.  With `cols_key` the whole
-    padded column matrix of :func:`_conv_gemm` is kept under that key and
-    returned for gradient reuse, never in slabs (a training batch of 16 16x16
-    patches keeps at most 1600 x 4096 elements, 52 MB, per layer).
+    xp: (C_in, B, H + k - 1, W + k - 1), w: (C_out, C_in, k, k) -> a new
+    (C_out, B, H, W) array of the dtype of `w`.  A column matrix of more than
+    `_COL_BUDGET` elements is processed in row slabs: every layer of a
+    176x176 ``spectral`` inference tile, and layer 1 of a validation batch of
+    16 training patches.  With `cols_key` the whole padded column matrix of
+    :func:`_conv_gemm` is kept under that key and returned for gradient
+    reuse, never in slabs (a training batch of 16 16x16 patches keeps at most
+    1600 x 4096 elements, 52 MB, per layer).
     """
-    c_in, B, H, W = x.shape
     c_out, _, k, _ = w.shape
-    p = k // 2
-    xp = _pad_edge(x, p, _scratch(ws, "pad", (c_in, B, H + 2 * p, W + 2 * p), w.dtype))
-    wmat = w.reshape(c_out, c_in * k * k)
-    out = _scratch(ws, "z", (c_out, B, H, W), w.dtype)
+    _, B, Hp, Wp = xp.shape
+    wmat = w.reshape(c_out, -1)
+    out = np.empty((c_out, B, Hp - k + 1, Wp - k + 1), w.dtype)
     if cols_key is not None:
         return out, _conv_gemm(wmat, xp, k, out, ws, cols_key)
     _conv_gemm_slabbed(wmat, xp, k, out, ws)
@@ -269,8 +265,8 @@ def _conv2d(x: np.ndarray, w: np.ndarray, ws: dict | None = None, cols_key=None)
 
 def _conv_gemm_slabbed(wmat: np.ndarray, xp: np.ndarray, k: int, out: np.ndarray,
                        ws: dict | None) -> None:
-    """:func:`_conv_gemm` into `out`, in row slabs (the workspace array
-    "slab") when its column matrix would pass `_COL_BUDGET` elements."""
+    """:func:`_conv_gemm` into `out`, through one row slab at a time when its
+    column matrix would pass `_COL_BUDGET` elements."""
     C = xp.shape[0]
     R, B, H, W = out.shape
     if C * k * k * B * H * W <= _COL_BUDGET:
@@ -279,7 +275,7 @@ def _conv_gemm_slabbed(wmat: np.ndarray, xp: np.ndarray, k: int, out: np.ndarray
     rows_per = max(1, _COL_BUDGET // max(1, C * k * k * B * W))
     for r0 in range(0, H, rows_per):
         r1 = min(H, r0 + rows_per)
-        slab = _scratch(ws, "slab", (R, B, r1 - r0, W), wmat.dtype)
+        slab = np.empty((R, B, r1 - r0, W), wmat.dtype)
         _conv_gemm(wmat, xp[:, :, r0 : r1 + k - 1, :], k, slab, ws, "cols")
         out[:, :, r0:r1, :] = slab
 
@@ -311,7 +307,7 @@ def _conv2d_backward(cols: np.ndarray, w: np.ndarray, gout: np.ndarray, input_gr
     both spatial axes and with the channel axes swapped, gives the gradient of
     the replicate-padded input, which the padding's adjoint folds onto the
     interior.  Returns (grad_input (C_in, B, H, W), grad_weights); grad_input
-    is None unless `input_grad`, and otherwise a view into an array of `ws`.
+    is None unless `input_grad`.
     """
     c_out, c_in, k, _ = w.shape
     _, B, H, W = gout.shape
@@ -322,11 +318,10 @@ def _conv2d_backward(cols: np.ndarray, w: np.ndarray, gout: np.ndarray, input_gr
     if not input_grad:
         return None, gw
 
-    gz = _scratch(ws, "gout_pad", (c_out, B, H + 4 * p, W + 4 * p))
-    gz.fill(0.0)
+    gz = np.zeros((c_out, B, H + 4 * p, W + 4 * p))
     gz[:, :, 2 * p : 2 * p + H, 2 * p : 2 * p + W] = gout
     w_t = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c_in, c_out * k * k)
-    gxp = _scratch(ws, "gpad", (c_in, B, H + 2 * p, W + 2 * p))
+    gxp = np.empty((c_in, B, H + 2 * p, W + 2 * p))
     _conv_gemm_slabbed(w_t, gz, k, gxp, ws)
     return _fold_replicate_padding(gxp, p), gw
 
@@ -351,9 +346,9 @@ def _forward_batch(model: SrcnnModel, x: np.ndarray, keep_cache: bool = False,
                    ws: dict | None = None):
     """x: (C_in, B, H, W) float64 or float32 -> (C_out, B, H, W) plus backward cache.
 
-    The pass computes in the dtype of the model's weights.  With a workspace
-    `ws` the output and the cache live in its arrays, valid until the next
-    pass that uses `ws`.
+    The pass computes in the dtype of the model's weights (under float64
+    weights the padding widens a float32 `x` exactly) and takes its column
+    matrices from the workspace `ws` if one is given.
     """
     _check_input(model, x)
     slope = model.arch.slope
@@ -361,12 +356,14 @@ def _forward_batch(model: SrcnnModel, x: np.ndarray, keep_cache: bool = False,
     cache = [] if keep_cache else None
     a = x
     for li, w in enumerate(model.weights):
-        a, cols = _conv2d(a, w, ws, (li, "cols") if keep_cache else None)
+        # the layer input is released once padded, and the previous layer's
+        # mask unless cached, so a layer holds one padded input and one output
         positive = None
+        a = _pad_edge(a, w.shape[-1] // 2, w.dtype)
+        a, cols = _conv2d(a, w, ws, (li, "cols") if keep_cache else None)
         if li < n_layers - 1:
             # LeakyReLU in place, mask first: a negative slope makes negatives positive
-            mask_key = (li, "positive") if keep_cache else "positive"
-            positive = np.greater(a, 0, out=_scratch(ws, mask_key, a.shape, bool))
+            positive = a > 0
             np.multiply(a, slope, out=a, where=~positive)
         if keep_cache:
             cache.append((cols, positive))
@@ -384,7 +381,7 @@ def _backward_batch(model: SrcnnModel, cache, gout: np.ndarray, input_grad: bool
         cols, positive = cache[li]
         if positive is not None:
             # chain rule through LeakyReLU: g * (1 where z > 0, else slope)
-            gz = np.multiply(g, slope, out=_scratch(ws, "gact", g.shape))
+            gz = g * slope
             np.copyto(gz, g, where=positive)
             g = gz
         g, grads[li] = _conv2d_backward(cols, model.weights[li], g, input_grad or li > 0, ws)
@@ -526,7 +523,7 @@ def infer_tiled(
     c_out = model.arch.out_channels
     out = np.empty((c_out, H, W), dtype=np.float32)
     net = replace(model, weights=[w.astype(np.float32) for w in model.weights])
-    ws: dict = {}  # the tiles' arrays, freed on return
+    ws: dict = {}  # the tiles' column slabs, freed on return
     for r0, r1, wr0, wr1 in _tile_spans(H, tile, overlap):
         for c0, c1, wc0, wc1 in _tile_spans(W, tile, overlap):
             x = _filled_window(inputs, slice(r0, r1), slice(c0, c1))

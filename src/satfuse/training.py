@@ -188,7 +188,7 @@ def train(
 
     model = build_model(arch, cfg.seed)
     adam = _Adam([w.shape for w in model.weights], cfg)
-    # the batch passes' arrays, reused by every batch and freed on return
+    # the batch passes' column matrices, reused by every batch and freed on return
     ws: dict = {}
 
     best_val = np.inf

@@ -641,16 +641,23 @@ class TestParallelGrowth:
 
 class TestSamplesCsv:
     def test_round_trip(self, tmp_path):
-        quadrats = [Quadrat(f"q{i}", 1.0 + i, 2.0, 0.5) for i in range(4)]
-        targets = np.array([1.5, 2.5, 3.5, 4.5])
-        feats = np.random.default_rng(0).uniform(size=(4, 3))
+        # ids and band names with commas, quotes, newlines and non-ASCII
+        # text; subnormal, huge, close and negative-zero numbers
+        ids = ["q0", "a,b", 'say "hi"', "two\nlines", "ñandú 草地"]
+        quadrats = [Quadrat(q, 1.0 + i, 2.0, 0.5) for i, q in enumerate(ids)]
+        quadrats[1] = Quadrat(ids[1], -0.0, 1.7976931348623157e308, 5e-324)
+        targets = np.array([1.5, 2.5, -0.0, 1000.121, 1000.124])
+        feats = np.random.default_rng(0).uniform(size=(5, 3))
+        feats[:, 0] = [5e-324, -1e300, 0.1 + 0.2, -0.0, 2.2250738585072014e-308]
+        names = ["B2", "B,3", 'B"4\n']
         p = tmp_path / "samples.csv"
-        save_samples_csv(p, quadrats, targets, feats, ["B2", "B3", "B4"])
-        q2, t2, f2, names = load_samples_csv(p)
-        assert [q.id for q in q2] == [q.id for q in quadrats]
-        assert names == ["B2", "B3", "B4"]
-        assert np.array_equal(t2, targets)
-        assert np.array_equal(f2, feats)
+        save_samples_csv(p, quadrats, targets, feats, names)
+        q2, t2, f2, names2 = load_samples_csv(p)
+        assert q2 == quadrats and names2 == names
+        assert [(q.x.hex(), q.y.hex(), q.side.hex()) for q in q2] == [
+            (q.x.hex(), q.y.hex(), q.side.hex()) for q in quadrats]
+        assert t2.tobytes() == targets.tobytes()
+        assert f2.tobytes() == feats.tobytes()
 
     @pytest.mark.parametrize("quadrats, targets, names, match", [
         (None, [1.0], ["b"], "quadrats must be"),
@@ -675,6 +682,7 @@ class TestSamplesCsv:
         back = ForestModel.from_json(p)
         q = np.random.default_rng(1).uniform(size=(20, 8))
         assert np.array_equal(predict(model, q), predict(back, q))
+        assert forest_bytes(back) == forest_bytes(model)
 
     @pytest.mark.parametrize("field, value", [("seed", 2.9), ("n_features", 7.5),
                                               ("seed", True), ("n_features", "8")])

@@ -69,16 +69,23 @@ class TestGaussianDesignMatrix:
 
 class TestResponseTable:
     def test_csv_round_trip(self, tmp_path):
-        srf = synthetic_vnir_srf()
-        p = tmp_path / "srf.csv"
-        srf.to_csv(p)
-        back = SpectralResponseTable.from_csv(p)
-        assert set(back.band_names) == set(srf.band_names)
-        for name in srf.band_names:
-            wl_a, r_a = srf.bands[name]
-            wl_b, r_b = back.bands[name]
-            assert np.allclose(wl_a, wl_b)
-            assert np.allclose(r_a, r_b, atol=1e-7)
+        # the numbers used to be written with 6 and 8 significant digits,
+        # which merged 1000.121 and 1000.124 and left a file from_csv refused
+        edge = SpectralResponseTable({
+            # close and large wavelengths, a subnormal and a negative-zero response
+            "close": (np.array([1000.121, 1000.124, 1000.1240000000001]),
+                      np.array([0.1, 1.0, 5e-324])),
+            'wide, "quoted"\nnärrow': (np.array([-1e300, 0.0, 1.7976931348623157e308]),
+                                      np.array([-0.0, 1 / 3, 0.30000000000000004])),
+        })
+        for srf in (synthetic_vnir_srf(), edge):
+            p = tmp_path / "srf.csv"
+            srf.to_csv(p)
+            back = SpectralResponseTable.from_csv(p)
+            assert sorted(back.band_names) == sorted(srf.band_names)
+            for name in srf.band_names:
+                for x, y in zip(srf.bands[name], back.bands[name]):
+                    assert x.tobytes() == y.tobytes()
 
     def test_invariants(self):
         with pytest.raises(ValidationError):
@@ -149,14 +156,23 @@ class TestFitBandWeights:
             fit_band_weights(srf, cam)
 
     def test_json_round_trip(self, tmp_path):
-        bw = fit_band_weights(synthetic_vnir_srf(), evenly_spaced_camera(32))
-        p = tmp_path / "w.json"
-        bw.save_json(p)
-        back = BandWeights.load_json(p)
-        assert back.band_names == bw.band_names
-        assert np.allclose(back.weights, bw.weights)
-        assert np.allclose(back.normalizations, bw.normalizations)
-        assert back.camera.n_bands == bw.camera.n_bands
+        # subnormal, huge and negative-zero numbers, and names with commas,
+        # quotes, newlines and non-ASCII text
+        edge = BandWeights(HyperBandSpec(np.array([400.0, 400.00000000000006, 1e300]), 1e-300),
+                           ["a,b", '"q"\nñ'],
+                           np.array([[5e-324, -0.0, 1.7976931348623157e308], [0.1, 0.2, 0.0]]),
+                           np.array([-0.0, 2.2250738585072014e-308]),
+                           np.array([1 / 3, -1e300]))
+        for bw in (fit_band_weights(synthetic_vnir_srf(), evenly_spaced_camera(32)), edge):
+            p = tmp_path / "w.json"
+            bw.save_json(p)
+            back = BandWeights.load_json(p)
+            assert back.band_names == bw.band_names
+            assert back.camera.fwhm == bw.camera.fwhm
+            for x, y in ((back.camera.centers, bw.camera.centers), (back.weights, bw.weights),
+                         (back.residuals, bw.residuals),
+                         (back.normalizations, bw.normalizations)):
+                assert x.tobytes() == y.tobytes()
 
 
 def _micro_cube(seed, cam, w=4, h=4):

@@ -236,6 +236,21 @@ class TestBackward:
             assert np.array_equal(gin, gin_ref)
             assert np.array_equal(_forward_batch(m, x, ws=ws)[0], y_ref)
 
+    def test_workspace_holds_only_column_matrices(self, monkeypatch):
+        # a cached forward, a backward with the input gradient and a forward
+        # in row slabs of one row leave nothing but column matrices behind:
+        # every other array of a pass is allocated where it is used
+        m = build_model(ArchConfig(3, 2, ((5, 6), (3, 4), (3, 2))), seed=4)
+        rng = np.random.default_rng(4)
+        x = rng.uniform(size=(3, 2, 9, 9))
+        ws = {}
+        _, cache = _forward_batch(m, x, keep_cache=True, ws=ws)
+        _backward_batch(m, cache, rng.standard_normal((2, 2, 9, 9)), ws=ws)
+        monkeypatch.setattr(srcnn, "_COL_BUDGET", 1)
+        _forward_batch(m, x, ws=ws)
+        assert "cols" in ws
+        assert set(ws) <= {"cols", (0, "cols"), (1, "cols"), (2, "cols")}
+
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_matches_scatter_oracle_all_presets(self, name, monkeypatch):
         # k = 9 and 13 in layer 0, whose input gradient only backward() asks for
@@ -433,34 +448,34 @@ class TestInferTiled:
         # budget of 2**22 elements every layer's column matrix is cut into
         # slabs of at most 4.2 million elements (16 MB; the 32-row padding of
         # its inner axis adds < 1%), and the workspace holds one of them, or
-        # two while it grows: 33 MB.  Every other tile array is keyed by its
-        # role and shared by the layers, so it is held once at its largest:
-        # the padded input (layer 1's, 64 x 180 x 180, 8.3 MB), the output
-        # (layer 0's, 64 x 176 x 176, 7.9 MB), the output's row slab (layer
-        # 0's 26 rows, 1.2 MB) and the padded weights (0.2 MB).  Then the bool
-        # LeakyReLU mask of layer 0 and its complement (4.0 MB), the tile's
-        # float32 input (1.4 MB), the float32 weights (0.5 MB), and the
-        # scene's float32 output and mask (3.4 MB).  That bounds the peak by
-        # 60 MB; it was 43 MB, and 78 MB with float64 tile arrays.
+        # two while it grows: 33 MB.  Every other tile array lives only while
+        # its layer runs: first the layer input and its padded copy, then the
+        # padded copy, the output, one row slab of it and the padded weights.
+        # Layer 1 sets the larger of the two, 7.9 + 8.3 MB while it pads layer
+        # 0's output.  Then the bool LeakyReLU mask of layer 0 and its
+        # complement (4.0 MB), the tile's float32 input (1.4 MB), the float32
+        # weights (0.5 MB), and the scene's float32 output and mask (3.4 MB).
+        # That bounds the peak by 59 MB; it was 39 MB, 43 MB when the arrays
+        # were kept by role in the workspace, and 78 MB with float64 tile
+        # arrays.
         m = build_model(preset("spectral"), seed=10)
         r = self._raster(10, 320, 320, 11)
         h = w = 176
-        largest = dict.fromkeys(("cols", "pad", "z", "slab", "wpad"), 0)
+        cols = layer = 0
         for c_in, (k, f) in zip(m.arch.channel_chain, m.arch.layers):
             p = k // 2
             rows = min(h, srcnn._COL_BUDGET // (c_in * k * k * w))
             inner = -(-c_in * k * k // 32) * 32
-            for role, n in (("cols", inner * rows * w), ("slab", f * rows * w),
-                            ("pad", c_in * (h + 2 * p) * (w + 2 * p)), ("z", f * h * w),
-                            ("wpad", f * inner)):
-                largest[role] = max(largest[role], 4 * n)
+            pad = c_in * (h + 2 * p) * (w + 2 * p)
+            cols = max(cols, 4 * inner * rows * w)
+            layer = max(layer, 4 * (c_in * h * w + pad), 4 * (pad + f * h * w + f * rows * w
+                                                              + f * inner))
         masks = 2 * m.arch.layers[0][1] * h * w
         scene = (8 * 4 + 1) * 320 * 320
-        bound = (sum(largest.values()) + largest["cols"] + masks + 11 * h * w * 4
-                 + 4 * m.parameter_count() + scene)
+        bound = layer + 2 * cols + masks + 11 * h * w * 4 + 4 * m.parameter_count() + scene
         peak, out = traced_peak(infer_tiled, m, r, 256)
         assert out.values.shape == (8, 320, 320)
-        assert bound < 60e6
+        assert bound < 59e6
         assert peak < bound, (peak / 1e6, bound / 1e6)
 
     def test_spectral_tiles_match_float64_forward(self):
