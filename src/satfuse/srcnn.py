@@ -160,31 +160,6 @@ def build_model(arch: ArchConfig, seed: int = 0) -> SrcnnModel:
 # Activations flow through the network in (channels, batch, H, W) layout:
 # im2col then reduces to one copy of the padded tensor's windows
 # and one GEMM per layer, with the GEMM result already in the right layout.
-#
-# Training runs thousands of batches of one shape and inference runs tiles of
-# nearly one shape, so the column matrices, the largest arrays of a pass, can
-# come from a workspace: a plain dict, owned by one `train` or `infer_tiled`
-# call, that keeps one flat array per key and hands out views of it.  A pass
-# keeps its columns under "cols", and the backward cache layer li's under
-# (li, "cols").  Every other array is allocated where it is used.  The float
-# arrays take the weights' dtype, float64 in training and float32 at
-# inference, and one workspace serves one dtype.
-
-
-def _scratch(ws: dict | None, key, shape, dtype) -> np.ndarray:
-    """An uninitialised array of `shape`.
-
-    With a workspace it is a view of the array kept under `key`, which
-    grows to the largest shape asked for; the next request for `key`
-    returns the same memory.
-    """
-    if ws is None:
-        return np.empty(shape, dtype)
-    size = math.prod(shape)
-    buf = ws.get(key)
-    if buf is None or buf.size < size:
-        buf = ws[key] = np.empty(size, dtype)
-    return buf[:size].reshape(shape)
 
 
 def _pad_edge(x: np.ndarray, p: int, dtype) -> np.ndarray:
@@ -218,21 +193,18 @@ def _im2col(xp: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
 _GEMM_ALIGN = 32
 
 
-def _conv_gemm(wmat: np.ndarray, xp: np.ndarray, k: int, out: np.ndarray, ws: dict | None,
-               cols_key) -> np.ndarray:
+def _conv_gemm(wmat: np.ndarray, xp: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
     """`out` (R, B, H, W) = `wmat` (R, C*k*k) times the im2col of `xp`.
 
     xp: (C, B, H + k - 1, W + k - 1).  The GEMM's inner axis C*k*k is
     zero-padded to a multiple of `_GEMM_ALIGN` in both operands.  Returns the
-    padded column matrix, (C*k*k rounded up, B*H*W), from the workspace array
-    under `cols_key`; its pad rows are zeroed on every call, because another
-    shape takes another view of the same array.
+    new padded column matrix, (C*k*k rounded up, B*H*W).
     """
     C = xp.shape[0]
     R, B, H, W = out.shape
     K = C * k * k
     Kp = -(-K // _GEMM_ALIGN) * _GEMM_ALIGN
-    cols = _scratch(ws, cols_key, (Kp, B * H * W), wmat.dtype)
+    cols = np.empty((Kp, B * H * W), wmat.dtype)
     _im2col(xp, k, cols[:K].reshape(C, k * k, B, H, W))
     cols[K:] = 0.0
     wpad = np.zeros((R, Kp), wmat.dtype)
@@ -241,42 +213,41 @@ def _conv_gemm(wmat: np.ndarray, xp: np.ndarray, k: int, out: np.ndarray, ws: di
     return cols
 
 
-def _conv2d(xp: np.ndarray, w: np.ndarray, ws: dict | None = None, cols_key=None):
+def _conv2d(xp: np.ndarray, w: np.ndarray, keep_cols: bool = False):
     """Same-size convolution of an input padded by :func:`_pad_edge`.
 
     xp: (C_in, B, H + k - 1, W + k - 1), w: (C_out, C_in, k, k) -> a new
     (C_out, B, H, W) array of the dtype of `w`.  A column matrix of more than
-    `_COL_BUDGET` elements is processed in row slabs: every layer of a
-    176x176 ``spectral`` inference tile, and layer 1 of a validation batch of
-    16 training patches.  With `cols_key` the whole padded column matrix of
-    :func:`_conv_gemm` is kept under that key and returned for gradient
-    reuse, never in slabs (a training batch of 16 16x16 patches keeps at most
-    1600 x 4096 elements, 52 MB, per layer).
+    `_COL_BUDGET` elements is processed in row slabs, each freed before the
+    next is made: every layer of a 176x176 ``spectral`` inference tile, and
+    layer 1 of a validation batch of 16 training patches.  With `keep_cols`
+    the whole padded column matrix of :func:`_conv_gemm` is returned for
+    gradient reuse, never in slabs (a training batch of 16 16x16 patches
+    keeps at most 1600 x 4096 elements, 52 MB, per layer).
     """
     c_out, _, k, _ = w.shape
     _, B, Hp, Wp = xp.shape
     wmat = w.reshape(c_out, -1)
     out = np.empty((c_out, B, Hp - k + 1, Wp - k + 1), w.dtype)
-    if cols_key is not None:
-        return out, _conv_gemm(wmat, xp, k, out, ws, cols_key)
-    _conv_gemm_slabbed(wmat, xp, k, out, ws)
+    if keep_cols:
+        return out, _conv_gemm(wmat, xp, k, out)
+    _conv_gemm_slabbed(wmat, xp, k, out)
     return out, None
 
 
-def _conv_gemm_slabbed(wmat: np.ndarray, xp: np.ndarray, k: int, out: np.ndarray,
-                       ws: dict | None) -> None:
+def _conv_gemm_slabbed(wmat: np.ndarray, xp: np.ndarray, k: int, out: np.ndarray) -> None:
     """:func:`_conv_gemm` into `out`, through one row slab at a time when its
     column matrix would pass `_COL_BUDGET` elements."""
     C = xp.shape[0]
     R, B, H, W = out.shape
     if C * k * k * B * H * W <= _COL_BUDGET:
-        _conv_gemm(wmat, xp, k, out, ws, "cols")
+        _conv_gemm(wmat, xp, k, out)
         return
     rows_per = max(1, _COL_BUDGET // max(1, C * k * k * B * W))
     for r0 in range(0, H, rows_per):
         r1 = min(H, r0 + rows_per)
         slab = np.empty((R, B, r1 - r0, W), wmat.dtype)
-        _conv_gemm(wmat, xp[:, :, r0 : r1 + k - 1, :], k, slab, ws, "cols")
+        _conv_gemm(wmat, xp[:, :, r0 : r1 + k - 1, :], k, slab)
         out[:, :, r0:r1, :] = slab
 
 
@@ -296,8 +267,8 @@ def _fold_replicate_padding(g: np.ndarray, p: int) -> np.ndarray:
     return g[..., :, p : Wp - p]
 
 
-def _conv2d_backward(cols: np.ndarray, w: np.ndarray, gout: np.ndarray, input_grad: bool = True,
-                     ws: dict | None = None) -> tuple[np.ndarray | None, np.ndarray]:
+def _conv2d_backward(cols: np.ndarray, w: np.ndarray, gout: np.ndarray,
+                     input_grad: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
     """Gradients of :func:`_conv2d` given its padded column matrix `cols`.
 
     gout: (C_out, B, H, W).  The weight gradient is one GEMM with `cols`.
@@ -322,7 +293,7 @@ def _conv2d_backward(cols: np.ndarray, w: np.ndarray, gout: np.ndarray, input_gr
     gz[:, :, 2 * p : 2 * p + H, 2 * p : 2 * p + W] = gout
     w_t = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c_in, c_out * k * k)
     gxp = np.empty((c_in, B, H + 2 * p, W + 2 * p))
-    _conv_gemm_slabbed(w_t, gz, k, gxp, ws)
+    _conv_gemm_slabbed(w_t, gz, k, gxp)
     return _fold_replicate_padding(gxp, p), gw
 
 
@@ -342,13 +313,14 @@ def _check_input(model: SrcnnModel, x: np.ndarray):
         )
 
 
-def _forward_batch(model: SrcnnModel, x: np.ndarray, keep_cache: bool = False,
-                   ws: dict | None = None):
+def _forward_batch(model: SrcnnModel, x: np.ndarray, keep_cache: bool = False):
     """x: (C_in, B, H, W) float64 or float32 -> (C_out, B, H, W) plus backward cache.
 
     The pass computes in the dtype of the model's weights (under float64
-    weights the padding widens a float32 `x` exactly) and takes its column
-    matrices from the workspace `ws` if one is given.
+    weights the padding widens a float32 `x` exactly).  With `keep_cache`
+    the cache holds each layer's whole column matrix and LeakyReLU mask;
+    without it the cache is None and each column matrix is freed once its
+    layer's output is made.
     """
     _check_input(model, x)
     slope = model.arch.slope
@@ -360,7 +332,7 @@ def _forward_batch(model: SrcnnModel, x: np.ndarray, keep_cache: bool = False,
         # mask unless cached, so a layer holds one padded input and one output
         positive = None
         a = _pad_edge(a, w.shape[-1] // 2, w.dtype)
-        a, cols = _conv2d(a, w, ws, (li, "cols") if keep_cache else None)
+        a, cols = _conv2d(a, w, keep_cache)
         if li < n_layers - 1:
             # LeakyReLU in place, mask first: a negative slope makes negatives positive
             positive = a > 0
@@ -370,8 +342,7 @@ def _forward_batch(model: SrcnnModel, x: np.ndarray, keep_cache: bool = False,
     return a, cache
 
 
-def _backward_batch(model: SrcnnModel, cache, gout: np.ndarray, input_grad: bool = True,
-                    ws: dict | None = None):
+def _backward_batch(model: SrcnnModel, cache, gout: np.ndarray, input_grad: bool = True):
     """Weight gradients of every layer, and the input gradient if `input_grad`."""
     slope = model.arch.slope
     n_layers = len(model.weights)
@@ -384,7 +355,7 @@ def _backward_batch(model: SrcnnModel, cache, gout: np.ndarray, input_grad: bool
             gz = g * slope
             np.copyto(gz, g, where=positive)
             g = gz
-        g, grads[li] = _conv2d_backward(cols, model.weights[li], g, input_grad or li > 0, ws)
+        g, grads[li] = _conv2d_backward(cols, model.weights[li], g, input_grad or li > 0)
     return grads, g
 
 
@@ -523,11 +494,10 @@ def infer_tiled(
     c_out = model.arch.out_channels
     out = np.empty((c_out, H, W), dtype=np.float32)
     net = replace(model, weights=[w.astype(np.float32) for w in model.weights])
-    ws: dict = {}  # the tiles' column slabs, freed on return
     for r0, r1, wr0, wr1 in _tile_spans(H, tile, overlap):
         for c0, c1, wc0, wc1 in _tile_spans(W, tile, overlap):
             x = _filled_window(inputs, slice(r0, r1), slice(c0, c1))
-            y, _ = _forward_batch(net, x[:, None], ws=ws)
+            y, _ = _forward_batch(net, x[:, None])
             out[:, wr0:wr1, wc0:wc1] = y[:, 0, wr0 - r0 : wr1 - r0, wc0 - c0 : wc1 - c0]
     if band_names is None:
         band_names = [f"band{i}" for i in range(c_out)]

@@ -131,20 +131,22 @@ def _batch_arrays(data, entries, side):
     return xb, tb, np.stack([pair[2][r, c] for pair, r, c in cuts])[None]
 
 
-def _pool_pass(model, data, entries, side, batch_size, ws, adam: _Adam | None = None) -> float:
+def _pool_pass(model, data, entries, side, batch_size, adam: _Adam | None = None) -> float:
     """Masked MSE of the model over the patches `entries`, batch by batch; with
     `adam`, each batch then takes one Adam step on its own gradient.  Every
-    pool patch has a valid pixel, so no batch is empty."""
+    pool patch has a valid pixel, so no batch is empty.  A batch's cache is
+    freed before the next batch's forward pass, which makes its own."""
     sq = n = 0.0
     for s in range(0, len(entries), batch_size):
         xb, tb, mb = _batch_arrays(data, entries[s : s + batch_size], side)
-        pred, cache = _forward_batch(model, xb, keep_cache=adam is not None, ws=ws)
+        pred, cache = _forward_batch(model, xb, keep_cache=adam is not None)
         d, sq_batch, n_batch = _masked_error(pred, tb, mb)
         sq += sq_batch
         n += n_batch
         if adam is not None:
-            grads, _ = _backward_batch(model, cache, 2.0 * d / n_batch, input_grad=False, ws=ws)
+            grads, _ = _backward_batch(model, cache, 2.0 * d / n_batch, input_grad=False)
             adam.step(model.weights, grads)
+        del pred, cache, d
     return sq / n
 
 
@@ -188,8 +190,6 @@ def train(
 
     model = build_model(arch, cfg.seed)
     adam = _Adam([w.shape for w in model.weights], cfg)
-    # the batch passes' column matrices, reused by every batch and freed on return
-    ws: dict = {}
 
     best_val = np.inf
     best_weights = model.copy_weights()
@@ -199,8 +199,8 @@ def train(
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
         shuffled = [train_pool[i] for i in rng.permutation(len(train_pool))]
-        train_loss = _pool_pass(model, data, shuffled, side, cfg.batch_size, ws, adam)
-        val_loss = _pool_pass(model, vdata, val_pool, side, cfg.batch_size, ws)
+        train_loss = _pool_pass(model, data, shuffled, side, cfg.batch_size, adam)
+        val_loss = _pool_pass(model, vdata, val_pool, side, cfg.batch_size)
         loss_log.append((epoch, train_loss, val_loss))
         wall = time.perf_counter() - t0
         log.info(

@@ -529,13 +529,23 @@ class TestParallelGrowth:
         got = fit_forest(X, y, cfg, seed=11)
         assert multiprocessing.active_children() == []
         assert forest_bytes(got) == forest_bytes(want)
-        # the caller grows the first contiguous chunk, one worker each other chunk
+        # the caller grows the first contiguous chunk.  Every other chunk is
+        # grown whole, in index order, by some worker: the pool may hand two
+        # chunks to one worker, so each worker's log is cut into whole chunks
         procs = min(cpus, n_trees)
         chunks = [list(range(n_trees * i // procs, n_trees * (i + 1) // procs))
                   for i in range(procs)]
+        chunk_of = {t: chunk for chunk in chunks for t in chunk}
         grown = _growers(tmp_path / "grown")
         assert grown.pop(os.getpid()) == chunks[0]
-        assert sorted(grown.values()) == chunks[1:]
+        pieces = []
+        for trees in grown.values():
+            while trees:
+                chunk = chunk_of[trees[0]]
+                assert trees[: len(chunk)] == chunk
+                pieces.append(chunk)
+                trees = trees[len(chunk) :]
+        assert sorted(pieces) == chunks[1:]
 
     def test_at_most_two_processes(self, monkeypatch, tmp_path):
         monkeypatch.setattr(forest, "_usable_cpus", lambda: 3)

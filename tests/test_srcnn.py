@@ -57,7 +57,7 @@ def naive_forward(model, x):
     return a
 
 
-def scatter_conv2d_backward(cols, w, gout, input_grad=True, ws=None):
+def scatter_conv2d_backward(cols, w, gout, input_grad=True):
     """Column-scatter (col2im) oracle for `srcnn._conv2d_backward`.
 
     The input gradient is the GEMM of the transposed weights with `gout`,
@@ -212,44 +212,26 @@ class TestBackward:
         assert np.array_equal(g, np.zeros_like(pred))
         assert masked_mse(pred, pred.copy(), mask) == 0.0
 
-    def test_workspace_reuse_matches_fresh_arrays(self):
-        # batch passes through one workspace, with shapes repeating and
-        # changing, give the arrays a workspace-free pass gives, even when
-        # every workspace array holds NaN before the pass
-        m = build_model(ArchConfig(3, 2, ((5, 6), (3, 4), (3, 2))), seed=4)
-        rng = np.random.default_rng(4)
-        ws = {}
-        for B, H in ((4, 9), (4, 9), (1, 9), (4, 11), (4, 9)):
-            for buf in ws.values():
-                buf.fill(np.nan)
-            x = rng.uniform(size=(3, B, H, H))
-            g = rng.standard_normal((2, B, H, H))
-            y_ref, cache_ref = _forward_batch(m, x, keep_cache=True)
-            grads_ref, gin_ref = _backward_batch(m, cache_ref, g)
-            y, cache = _forward_batch(m, x, keep_cache=True, ws=ws)
-            assert np.array_equal(y, y_ref)
-            grads, gin = _backward_batch(m, cache, g, input_grad=False, ws=ws)
-            assert gin is None
-            assert all(np.array_equal(a, b) for a, b in zip(grads, grads_ref))
-            y, cache = _forward_batch(m, x, keep_cache=True, ws=ws)
-            grads, gin = _backward_batch(m, cache, g, ws=ws)
-            assert np.array_equal(gin, gin_ref)
-            assert np.array_equal(_forward_batch(m, x, ws=ws)[0], y_ref)
-
-    def test_workspace_holds_only_column_matrices(self, monkeypatch):
-        # a cached forward, a backward with the input gradient and a forward
-        # in row slabs of one row leave nothing but column matrices behind:
-        # every other array of a pass is allocated where it is used
-        m = build_model(ArchConfig(3, 2, ((5, 6), (3, 4), (3, 2))), seed=4)
-        rng = np.random.default_rng(4)
-        x = rng.uniform(size=(3, 2, 9, 9))
-        ws = {}
-        _, cache = _forward_batch(m, x, keep_cache=True, ws=ws)
-        _backward_batch(m, cache, rng.standard_normal((2, 2, 9, 9)), ws=ws)
-        monkeypatch.setattr(srcnn, "_COL_BUDGET", 1)
-        _forward_batch(m, x, ws=ws)
-        assert "cols" in ws
-        assert set(ws) <= {"cols", (0, "cols"), (1, "cols"), (2, "cols")}
+    def test_conv_gemm_zeroes_the_pad_rows_of_new_columns(self, monkeypatch):
+        # 27 inner rows padded to 32.  Every uninitialised array is made NaN
+        # here, so the pad rows hold zeros, and the GEMM is NaN-free, only if
+        # _conv_gemm zeroes them.  Small integers make every GEMM sum exact
+        # in any order.
+        rng = np.random.default_rng(11)
+        C, k, B, H, W = 3, 3, 2, 4, 5
+        K = C * k * k
+        xp = rng.integers(-4, 5, size=(C, B, H + k - 1, W + k - 1)).astype(np.float64)
+        wmat = rng.integers(-4, 5, size=(6, K)).astype(np.float64)
+        monkeypatch.setattr(np, "empty", lambda shape, dtype=float: np.full(shape, np.nan, dtype))
+        out = np.empty((6, B, H, W))
+        cols = srcnn._conv_gemm(wmat, xp, k, out)
+        assert cols.shape == (32, B * H * W)
+        assert not cols[K:].any()
+        windows = cols[:K].reshape(C, k, k, B, H, W)
+        for a in range(k):
+            for b in range(k):
+                assert np.array_equal(windows[:, a, b], xp[:, :, a : a + H, b : b + W])
+        assert np.array_equal(out.reshape(6, -1), wmat @ cols[:K])
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_matches_scatter_oracle_all_presets(self, name, monkeypatch):
@@ -275,9 +257,9 @@ class TestBackward:
         gemm_rows = []
         conv_gemm = srcnn._conv_gemm
 
-        def counting_gemm(wmat, xp, k, out, ws, cols_key):
+        def counting_gemm(wmat, xp, k, out):
             gemm_rows.append(out.shape[2])
-            return conv_gemm(wmat, xp, k, out, ws, cols_key)
+            return conv_gemm(wmat, xp, k, out)
 
         monkeypatch.setattr(srcnn, "_conv_gemm", counting_gemm)
         monkeypatch.setattr(srcnn, "_COL_BUDGET", 5184 * 30 * 3)
@@ -303,18 +285,17 @@ class TestBackward:
         peak, _ = traced_peak(backward, m, x, g)
         assert peak - held < 2 * srcnn._COL_BUDGET * 8, (peak - held) / 1e6
 
-    def test_batches_through_one_workspace_match_scatter_oracle(self, monkeypatch):
+    def test_batches_of_changing_sizes_match_scatter_oracle(self, monkeypatch):
         # batch 1, full batches of 4 and a short last batch, non-square patches
         m = build_model(preset("spectral"), seed=6)
         rng = np.random.default_rng(6)
-        ws = {}
         got = []
         for B in (1, 4, 4, 3):
             x = rng.uniform(size=(11, B, 16, 12))
             g = rng.standard_normal((8, B, 16, 12))
-            _, cache = _forward_batch(m, x, keep_cache=True, ws=ws)
-            grads, gin = _backward_batch(m, cache, g, ws=ws)
-            got.append((x, g, [a.copy() for a in grads + [gin]]))
+            _, cache = _forward_batch(m, x, keep_cache=True)
+            grads, gin = _backward_batch(m, cache, g)
+            got.append((x, g, grads + [gin]))
         monkeypatch.setattr(srcnn, "_conv2d_backward", scatter_conv2d_backward)
         for x, g, arrays in got:
             _, cache = _forward_batch(m, x, keep_cache=True)
@@ -447,17 +428,17 @@ class TestInferTiled:
         # tile arrays are float32, the weights' dtype at inference.  At the
         # budget of 2**22 elements every layer's column matrix is cut into
         # slabs of at most 4.2 million elements (16 MB; the 32-row padding of
-        # its inner axis adds < 1%), and the workspace holds one of them, or
-        # two while it grows: 33 MB.  Every other tile array lives only while
+        # its inner axis adds < 1%), each freed before the next is made, so one
+        # is held at a time.  Every other tile array lives only while
         # its layer runs: first the layer input and its padded copy, then the
         # padded copy, the output, one row slab of it and the padded weights.
         # Layer 1 sets the larger of the two, 7.9 + 8.3 MB while it pads layer
         # 0's output.  Then the bool LeakyReLU mask of layer 0 and its
         # complement (4.0 MB), the tile's float32 input (1.4 MB), the float32
         # weights (0.5 MB), and the scene's float32 output and mask (3.4 MB).
-        # That bounds the peak by 59 MB; it was 39 MB, 43 MB when the arrays
-        # were kept by role in the workspace, and 78 MB with float64 tile
-        # arrays.
+        # That bounds the peak by 42 MB; it was 35 MB, 39 MB when a workspace
+        # kept the slabs between layers and tiles, 43 MB when it kept every
+        # array by role, and 78 MB with float64 tile arrays.
         m = build_model(preset("spectral"), seed=10)
         r = self._raster(10, 320, 320, 11)
         h = w = 176
@@ -472,10 +453,10 @@ class TestInferTiled:
                                                               + f * inner))
         masks = 2 * m.arch.layers[0][1] * h * w
         scene = (8 * 4 + 1) * 320 * 320
-        bound = layer + 2 * cols + masks + 11 * h * w * 4 + 4 * m.parameter_count() + scene
+        bound = layer + cols + masks + 11 * h * w * 4 + 4 * m.parameter_count() + scene
         peak, out = traced_peak(infer_tiled, m, r, 256)
         assert out.values.shape == (8, 320, 320)
-        assert bound < 59e6
+        assert bound < 42e6
         assert peak < bound, (peak / 1e6, bound / 1e6)
 
     def test_spectral_tiles_match_float64_forward(self):

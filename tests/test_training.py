@@ -145,6 +145,31 @@ class TestTrain:
                                   for n in (2, 4))
         assert large - small < 1e6, (small / 1e6, large / 1e6)
 
+    def test_memory_holds_one_batch_of_cached_columns(self):
+        # 'spectral' on batches of 4 16x16 patches: a batch's cache holds each
+        # layer's column matrix, (896 + 1600 + 800) rows x 1024 pixels of
+        # float64 (27 MB), and its LeakyReLU masks.  Beside it the backward
+        # makes one more column matrix at a time, the largest for layer 1's
+        # input gradient: 800 rows x 4 x 20 x 20 pixels (10.2 MB).  Everything
+        # else (the weights, their best copy, Adam's two moments, the
+        # gradients and the batch's activations) stays within 10 weight-sized
+        # arrays and 2 MB.  The traced peak was 45.3 MB; 59.6 MB while a
+        # batch's cache outlived it into the next batch's forward pass, and
+        # 55.3 MB with a workspace that kept the cached columns between batches.
+        arch = preset("spectral")
+        pairs = [(random_raster(s, 128, 128, 11, mask_fraction=0.2),
+                  random_raster(s + 50, 128, 128, 8, mask_fraction=0.2)) for s in range(2)]
+        cfg = TrainConfig(scale=8, patch_coarse=2, batch_size=4, epochs=1, seed=0)
+        pixels = cfg.batch_size * cfg.patch_side**2
+        cache = sum(8 * -(-c_in * k * k // 32) * 32 * pixels + f * pixels
+                    for c_in, (k, f) in zip(arch.channel_chain, arch.layers))
+        c_out, k = 32, 5  # layer 1
+        gcols = 8 * c_out * k * k * cfg.batch_size * (cfg.patch_side + k - 1) ** 2
+        bound = cache + gcols + 10 * 8 * arch.parameter_count() + 2e6
+        peak, _ = traced_peak(train, arch, pairs, cfg)
+        assert bound < 50e6
+        assert peak < bound, (peak / 1e6, bound / 1e6)
+
 
 # Trains preset "spectral" on a 3-scene dataset of 48x48 pixels: 9 training
 # and 9 validation patches in batches of 4, 4 and 1, so the short last batch
@@ -218,9 +243,9 @@ def test_default_batch_training_bits_do_not_depend_on_the_budget(monkeypatch):
         monkeypatch.setattr(srcnn, "_COL_BUDGET", budget)
         rows = []
 
-        def counting_gemm(wmat, xp, k, out, ws, cols_key):
+        def counting_gemm(wmat, xp, k, out):
             rows.append(out.shape[2])
-            return conv_gemm(wmat, xp, k, out, ws, cols_key)
+            return conv_gemm(wmat, xp, k, out)
 
         monkeypatch.setattr(srcnn, "_conv_gemm", counting_gemm)
         model, log = train(preset("spectral"), pairs, cfg, val_pairs=val_pairs)
