@@ -274,7 +274,9 @@ def fit_band_weights(
     Each band's response table is resampled to a 1 nm grid by linear
     interpolation, fitted with NNLS against the Gaussian camera responses,
     and the weights rescaled to sum to one (the raw sum is recorded as the
-    normalization constant).
+    normalization constant).  NNLS fits the response divided by its peak, so
+    that its stop test sees the same problem whatever the table's scale;
+    the raw weights are scaled back.
     """
     instance("srf", srf, SpectralResponseTable, ValidationError)
     instance("spec", spec, HyperBandSpec, ValidationError)
@@ -289,7 +291,8 @@ def fit_band_weights(
         grid = np.arange(math.ceil(wl[0]), math.floor(wl[-1]) + 1.0, 1.0)
         b = np.interp(grid, wl, resp)
         A = gaussian_design_matrix(spec, grid)
-        x = nnls(A, b, tol=tol)
+        peak = b.max() or 1.0  # an all-zero table still fits to zero
+        x = nnls(A, b / peak, tol=tol) * peak
         total = float(x.sum())
         if total <= 0:
             raise DomainError(f"band {name!r} produced an all-zero fit")

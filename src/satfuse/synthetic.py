@@ -5,6 +5,11 @@ spectra mixed by spatially smooth abundance maps, so the exact fine-scale
 truth is known for band simulation, degradation, registration, and
 super-resolution benchmarks.  Everything is reproducible from (seed, config)
 alone; per-scene randomness derives from (seed, scene_index).
+
+The abundance fields are smoothed by `_smooth_fields` in NumPy alone.  It
+gives the bytes of SciPy's ``ndimage.gaussian_filter(fields, sigma=(0, s, s),
+mode="reflect")`` bit for bit, as `tests/test_synthetic.py::TestSmoothFields`
+checks against SciPy.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .bsf import read_bsf, write_bsf
 from .errors import (COUNT, FINITE, INDEX, NONNEGATIVE, PAIR, PATH, POSITIVE, GeometryError,
@@ -110,17 +114,81 @@ def _endmember_spectra(rng, n_endmembers: int, centers: np.ndarray) -> np.ndarra
     return np.clip(E, 0.0, 1.0)
 
 
+# elements in one row block of a smoothing pass (256 KiB of float64), so that a
+# block's operands stay in cache while every tap is added to it
+_SMOOTH_BLOCK = 32768
+
+
+def _smooth_columns(a: np.ndarray, w: np.ndarray) -> None:
+    """Correlate each column of the 2-D float64 array `a` with the symmetric
+    kernel `w` in place, reflecting at the ends as SciPy's "reflect" does."""
+    n, m = a.shape
+    r = w.size // 2
+    p = np.pad(a, ((r, r), (0, 0)), mode="symmetric")
+    rows = max(1, _SMOOTH_BLOCK // m)
+    tmp = np.empty((min(rows, n), m))
+    for i in range(0, n, rows):
+        out = a[i:i + rows]
+        k = len(out)
+        t = tmp[:k]
+        np.multiply(p[i + r:i + r + k], w[r], out=out)
+        for d in range(r, 0, -1):
+            np.add(p[i + r - d:i + r - d + k], p[i + r + d:i + r + d + k], out=t)
+            t *= w[r - d]
+            out += t
+
+
+def _smooth_fields(fields: np.ndarray, sigma: float) -> None:
+    """Gaussian-smooth each (H, W) field of `fields` in place, along H then W.
+
+    The bytes equal SciPy's ``ndimage.gaussian_filter(fields, sigma=(0,
+    sigma, sigma), mode="reflect")``.  The kernel is SciPy's: ``exp(-0.5 /
+    sigma**2 * x**2)`` for ``x`` in ``-r..r``, ``r = int(4 sigma + 0.5)``,
+    divided by its sum.  NumPy's "symmetric" padding is SciPy's "reflect",
+    and it reflects again where ``r`` exceeds the side.  Each output sums as
+    SciPy's C loop does for a symmetric kernel: the centre product, then
+    ``(left + right) * w`` added from the farthest tap inward (a BLAS
+    product, ``np.convolve`` or an FFT would order the sums otherwise).
+    Like SciPy, a sigma of at most 1e-15 leaves the fields as they are.
+    Beyond the fields, the call holds a few planes of one field, whatever
+    the number of fields.
+    """
+    if sigma <= 1e-15:
+        return
+    r = int(4.0 * sigma + 0.5)
+    w = np.exp(-0.5 / (sigma * sigma) * np.arange(-r, r + 1) ** 2)
+    w = w / w.sum()
+    for field in fields:
+        _smooth_columns(field, w)
+        rows = field.T.copy()  # the W pass runs on contiguous rows too
+        _smooth_columns(rows, w)
+        field[...] = rows.T
+
+
 def _abundance_maps(rng, cfg: SceneConfig) -> np.ndarray:
-    """Smoothed random fields pushed through a softmax onto the simplex."""
+    """Smoothed random fields pushed through a softmax onto the simplex.
+
+    The fields are scaled to unit spread but keep their mean, so fields that
+    smoothing leaves nearly constant (a smoothness near or above the scene's
+    side, or a 1x1 scene) can overflow the softmax: such a scene is a
+    ValidationError.
+    """
     fields = rng.standard_normal((cfg.n_endmembers, cfg.height, cfg.width))
     if cfg.n_endmembers == 1:
         return np.ones_like(fields)
-    fields = gaussian_filter(fields, sigma=(0, cfg.smoothness, cfg.smoothness), mode="reflect")
+    _smooth_fields(fields, cfg.smoothness)
     std = fields.std(axis=(1, 2), keepdims=True)
-    fields = fields / np.maximum(std, 1e-12)
+    fields /= np.maximum(std, 1e-12)
     # temperature sets abundance contrast between patches
-    e = np.exp(fields / 0.5)
-    return e / e.sum(axis=0)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            e = np.exp(fields / 0.5)
+            return e / e.sum(axis=0)
+    except FloatingPointError:
+        raise ValidationError(
+            f"the abundance fields of a {cfg.height}x{cfg.width} scene at smoothness "
+            f"{cfg.smoothness} are nearly constant, so their softmax overflows; use a "
+            f"smaller smoothness or a larger scene") from None
 
 
 def gen_hyper_scene(cfg: SceneConfig, return_parts: bool = False):

@@ -1,7 +1,11 @@
 import hashlib
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -467,6 +471,10 @@ CONTRACT_CASES = {
     "gen-synthetic-width-zero": (
         {}, ["gen-synthetic", "--width", "0", "--height", "16", "--scenes", "3",
              "--out-dir", "d"]),
+    # its abundance fields are nearly constant: it used to exit 0 with NaN scenes
+    "gen-synthetic-nearly-constant-fields": (
+        {}, ["gen-synthetic", "--seed", "1", "--scenes", "3", "--width", "8", "--height", "16",
+             "--smoothness", "16", "--out-dir", "d"]),
     "pipeline-stages-not-a-list": (
         {"p.json": json.dumps({"version": 1, "stages": 5})}, ["pipeline", "--config", "p.json"]),
     "pipeline-typo-key": (
@@ -634,3 +642,34 @@ def test_stage_help_renders(name, capsys):
         main([name, "--help"])
     assert exc.value.code == 0
     assert f"usage: satfuse {name}" in capsys.readouterr().out
+
+
+# refuses every `scipy` import, then runs two CLI stages; SciPy is a test-only dependency
+_WITHOUT_SCIPY = """
+import importlib.abc, sys
+
+class RefuseSciPy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"{name} is refused")
+
+sys.meta_path.insert(0, RefuseSciPy())
+import satfuse, satfuse.cli
+from satfuse.spectral import synthetic_vnir_srf
+
+synthetic_vnir_srf().to_csv("srf.csv")
+codes = [satfuse.cli.main(["gen-synthetic", "--width", "16", "--height", "16", "--scale", "8",
+                           "--scenes", "3", "--bands", "8", "--out-dir", "gen"]),
+         satfuse.cli.main(["fit-srf", "--srf", "srf.csv", "--camera", "even:24",
+                           "--out-weights", "w.json"])]
+assert codes == [0, 0], codes
+assert not [m for m in sys.modules if m.partition(".")[0] == "scipy"]
+"""
+
+
+def test_library_runs_without_scipy(tmp_path):
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY], cwd=tmp_path, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "gen" / "manifest.json").is_file() and (tmp_path / "w.json").is_file()

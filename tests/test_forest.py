@@ -398,6 +398,12 @@ class TestPredict:
                 acc += tree.value[node]
             assert predict(model, row) == pytest.approx(acc / len(model.trees), rel=1e-12)
 
+    def test_rows_in_any_order_give_the_same_bytes(self):
+        X, y = linear_benchmark(n=500, seed=9)
+        model = fit_forest(X, y, ForestConfig(n_trees=20), seed=3)
+        p = np.random.default_rng(10).permutation(len(X))
+        assert predict(model, X[p]).tobytes() == predict(model, X)[p].tobytes()
+
     def test_feature_length_mismatch(self):
         X, y = linear_benchmark(n=30)
         model = fit_forest(X, y, ForestConfig(n_trees=3), seed=0)

@@ -149,6 +149,26 @@ class TestFitBandWeights:
             assert stat <= 1e-9 * scale
             assert feas >= -1e-9 * scale
 
+    @pytest.mark.parametrize("c", [1e-3, 1e-6, 1e-9])
+    def test_scaled_table_gives_the_same_weights(self, c):
+        # the NNLS stop test does not scale with the response, so a table
+        # scaled by 1e-3 used to stop early and move weights by 1.3e-4, and
+        # one scaled by 1e-9 by 0.3
+        cam = default_camera()
+        srf = synthetic_vnir_srf()
+        scaled = SpectralResponseTable({name: (wl, c * resp)
+                                        for name, (wl, resp) in srf.bands.items()})
+        want, got = fit_band_weights(srf, cam), fit_band_weights(scaled, cam)
+        assert np.abs(got.weights - want.weights).max() <= 1e-12
+        assert np.array_equal(got.weights > 0, want.weights > 0)
+        assert np.allclose(got.normalizations, c * want.normalizations, rtol=1e-12, atol=0)
+
+    def test_all_zero_table_refused(self):
+        wl = np.arange(500.0, 541.0)
+        srf = SpectralResponseTable({"dark": (wl, np.zeros_like(wl))})
+        with pytest.raises(DomainError, match="all-zero fit"):
+            fit_band_weights(srf, default_camera())
+
     def test_no_overlap_raises(self):
         cam = default_camera()
         srf = SpectralResponseTable({"swir": (np.array([1600.0, 1650.0]), np.array([1.0, 1.0]))})

@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+from scipy.ndimage import gaussian_filter
 
 from satfuse.bsf import read_bsf
 from satfuse.errors import GeometryError, ValidationError
@@ -10,6 +11,7 @@ from satfuse.raster import block_mean
 from satfuse.spectral import fit_band_weights, simulate_bands, synthetic_vnir_srf
 from satfuse.synthetic import (
     SceneConfig,
+    _smooth_fields,
     assemble_pairs,
     degrade,
     gen_hyper_scene,
@@ -20,6 +22,67 @@ from satfuse.synthetic import (
 from conftest import traced_peak
 
 SMALL = dict(width=64, height=64, n_bands=12, scale=8)
+
+SIGMAS = (0.0, 1e-300, 1e-15, 2e-15, 0.1, 0.5, 1.0, 2.0, 4.0, 6.0, 9.0)
+
+
+def _smooth_case(i: int, sigma: float):
+    """Seeded fields for case `i`: 1-7 fields, sides 1-140, and every other
+    case with sides of 1-12, shorter than most kernel radii."""
+    rng = np.random.default_rng([26, i])
+    m, (h, w) = int(rng.integers(1, 8)), rng.integers(1, 13 if i % 2 else 141, 2)
+    return sigma, rng.standard_normal((m, h, w))
+
+
+# four seeded cases per sigma, then shapes whose kernel radius exceeds a side
+# (16 for sigma 4, 24 for 6, 36 for 9), so that the edges reflect more than once
+SMOOTH_CASES = [_smooth_case(i, s) for i, s in enumerate(np.repeat(SIGMAS, 4))] + [
+    (4.0, np.random.default_rng(1).standard_normal((1, 3, 5))),
+    (6.0, np.random.default_rng(2).standard_normal((2, 1, 9))),
+    (9.0, np.random.default_rng(3).standard_normal((3, 16, 8))),
+    (9.0, np.random.default_rng(4).standard_normal((7, 1, 1))),
+]
+
+
+class TestSmoothFields:
+    @pytest.mark.parametrize("sigma, fields", SMOOTH_CASES,
+                             ids=[f"{s:g}-{'x'.join(map(str, f.shape))}" for s, f in SMOOTH_CASES])
+    def test_equals_scipy_gaussian_filter_bit_for_bit(self, sigma, fields):
+        want = gaussian_filter(fields, sigma=(0, sigma, sigma), mode="reflect")
+        got = fields.copy()
+        _smooth_fields(got, sigma)
+        assert got.tobytes() == want.tobytes()
+
+    def test_cases_reach_past_the_sides(self):
+        radius_over_side = [int(4 * s + 0.5) > min(f.shape[1:]) for s, f in SMOOTH_CASES]
+        assert len(SMOOTH_CASES) >= 40 and sum(radius_over_side) >= 10
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_abundances_equal_softmax_of_scipy_filter(self, seed):
+        refused = 0
+        for width, height in ((64, 48), (320, 320), (8, 16), (24, 8)):
+            for smoothness in (0.0, 0.5, 2.0, 4.0, 16.0):
+                cfg = SceneConfig(seed=seed, width=width, height=height, n_bands=2, scale=8,
+                                  smoothness=smoothness)
+                fields = np.random.default_rng([seed, 1]).standard_normal((5, height, width))
+                f = gaussian_filter(fields, sigma=(0, smoothness, smoothness), mode="reflect")
+                f = f / np.maximum(f.std(axis=(1, 2), keepdims=True), 1e-12)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    e = np.exp(f / 0.5)
+                    want = e / e.sum(axis=0)
+                if not np.isfinite(want).all():
+                    refused += 1
+                    with pytest.raises(ValidationError, match="smoothness"):
+                        gen_hyper_scene(cfg)
+                    continue
+                _, ab, _ = gen_hyper_scene(cfg, return_parts=True)
+                assert ab.tobytes() == want.tobytes(), (width, height, smoothness)
+        assert refused == (0 if seed == 0 else 1)
+
+    def test_memory_beyond_the_fields_is_a_few_planes_of_one(self):
+        fields = np.random.default_rng(5).standard_normal((5, 96, 128))
+        peak, _ = traced_peak(_smooth_fields, fields, 4.0)
+        assert peak < 4 * fields[0].nbytes
 
 
 class TestSceneConfig:
@@ -98,6 +161,20 @@ class TestGenHyperScene:
         assert cube.wavelengths is not None
         assert cube.wavelengths[0] == pytest.approx(397.9)
         assert cube.wavelengths[-1] == pytest.approx(1002.9)
+
+    @pytest.mark.parametrize("cfg", [
+        dict(seed=1, width=8, height=16, n_bands=6, smoothness=16.0, scale=8),
+        dict(seed=2, width=8, height=16, n_bands=6, smoothness=16.0, scale=8),
+        dict(width=1, height=1, scale=1),
+        dict(width=1, height=1, scale=1, smoothness=0.0),
+    ])
+    def test_nearly_constant_fields_refused(self, cfg):
+        # these scenes used to come back with every value NaN and every pixel
+        # invalid, after a RuntimeWarning from the softmax's overflow
+        cfg = SceneConfig(**cfg)
+        with pytest.raises(ValidationError, match=f"{cfg.height}x{cfg.width} scene at "
+                                                  f"smoothness {cfg.smoothness}"):
+            gen_hyper_scene(cfg)
 
     def test_shared_endmember_seed_changes_layout_not_spectra(self):
         a, _, Ea = gen_hyper_scene(SceneConfig(seed=5, endmember_seed=99, **SMALL), return_parts=True)
