@@ -48,8 +48,8 @@ import numpy as np
 
 from .errors import (COUNT, FINITE, INDEX, INTEGER, PATH, POSITIVE, ConfigError, CoverageError,
                      FormatError, PartitionError, SchemaError, ValidationError, array,
-                     check_fields, instance, instances, integer, parameter, parse_errors,
-                     read_csv, read_json)
+                     check_fields, finite, instance, instances, integer, parameter,
+                     parse_errors, read_csv, read_json)
 from .raster import Raster, _require_raster
 
 __all__ = [
@@ -177,6 +177,37 @@ _TREE_ARRAYS = (("feature", np.int64), ("threshold", None), ("left", np.int64),
                 ("right", np.int64), ("value", None))
 
 
+def _check_tree(i: int, tree: _Tree, n_features: int) -> None:
+    """Refuse with a ValueError a tree read from a file that `predict` could not
+    walk to a leaf.  As `_grow_tree` numbers them, an internal node's children
+    come after it, so every walk ends; a leaf has feature -1 and no children."""
+    arrays = [getattr(tree, name) for name, _ in _TREE_ARRAYS]
+    n = len(tree.feature)
+    if n < 1 or any(a.ndim != 1 or len(a) != n for a in arrays):
+        raise ValueError(f"tree {i}: its five arrays must be 1-D, of one length >= 1")
+    f = tree.feature
+    leaf = f == -1
+    if not (leaf | ((f >= 0) & (f < n_features))).all():
+        raise ValueError(f"tree {i}: a feature must be -1 or in [0, {n_features})")
+    if (tree.left[leaf] != -1).any() or (tree.right[leaf] != -1).any():
+        raise ValueError(f"tree {i}: a leaf (feature -1) must have both children -1")
+    inner = np.flatnonzero(~leaf)
+    children = np.stack([tree.left[inner], tree.right[inner]])
+    if not ((children > inner) & (children < n)).all():
+        raise ValueError(f"tree {i}: an internal node's children must come after it "
+                         f"and before node {n}")
+    if not (np.isfinite(tree.threshold).all() and np.isfinite(tree.value).all()):
+        raise ValueError(f"tree {i}: every threshold and value must be finite")
+
+
+def _midpoint(a: float, b: float) -> float:
+    """The threshold between feature values a < b: their mean, or `a` where the
+    mean rounds to `b` (adjacent subnormals) or overflows, so that `a` goes
+    left and `b` right."""
+    mean = 0.5 * (a + b)
+    return mean if a <= mean < b else a
+
+
 def _best_split(cols, yl, rows, total_sum, total_sq, candidates, min_leaf):
     """Lowest summed-child-SSE split of a node's `rows` over the candidate features.
 
@@ -212,7 +243,7 @@ def _best_split(cols, yl, rows, total_sum, total_sq, candidates, min_leaf):
                 best_tot, best_i = tot, i
         if best_tot is None:
             continue
-        key = (best_tot, f, 0.5 * (vs[best_i - 1] + vs[best_i]))
+        key = (best_tot, f, _midpoint(vs[best_i - 1], vs[best_i]))
         if best is None or key < best:
             best = key
     return best
@@ -309,13 +340,17 @@ class ForestModel:
                         config[name] = integer(config[name])
                     except (TypeError, ValueError) as exc:
                         raise ValueError(f"config field {name}: {exc}") from None
-            return cls(
-                trees,
-                ForestConfig(**config),
-                integer(doc["seed"]),
-                integer(doc["n_features"]),
-                tuple(doc["target_range"]),
-            )
+            config = ForestConfig(**config)
+            n_features = integer(doc["n_features"])
+            if not trees or len(trees) != config.n_trees:
+                raise ValueError(f"{len(trees)} trees where the config has n_trees "
+                                 f"{config.n_trees}")
+            for i, tree in enumerate(trees):
+                _check_tree(i, tree, n_features)
+            target_range = tuple(finite(v) for v in doc["target_range"])
+            if len(target_range) != 2:
+                raise ValueError(f"target_range must be two numbers, got {len(target_range)}")
+            return cls(trees, config, integer(doc["seed"]), n_features, target_range)
 
 
 def fit_forest(X: np.ndarray, y: np.ndarray, cfg: ForestConfig | None = None, seed: int = 0) -> ForestModel:
@@ -539,13 +574,13 @@ def load_quadrats_csv(path):
 
 def save_samples_csv(path, quadrats, targets, features, band_names) -> None:
     """Write a samples CSV: one row per quadrat, its finite target and its
-    band values; every argument is checked before the file is opened."""
+    finite band values; every argument is checked before the file is opened."""
     path = parameter("path", path, *PATH, ValidationError)
     quadrats = instances("quadrats", quadrats, Quadrat, ValidationError)
     targets = array("targets", targets, ValidationError, ndim=1, finite=True)
     if len(targets) != len(quadrats):
         raise ValidationError(f"{len(targets)} targets for {len(quadrats)} quadrats")
-    features = array("features", features, ValidationError, ndim=2)
+    features = array("features", features, ValidationError, ndim=2, finite=True)
     band_names = instances("band_names", band_names, str, ValidationError)
     if features.shape != (len(quadrats), len(band_names)):
         raise ValidationError("features shape must be (n_quadrats, n_bands)")

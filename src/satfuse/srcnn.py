@@ -102,8 +102,8 @@ class ArchConfig:
             in_channels=integer(d["in_channels"]),
             out_channels=integer(d["out_channels"]),
             layers=tuple((integer(k), integer(f)) for k, f in d["layers"]),
-            slope=finite(d.get("slope", 0.1)),
-            name=str(d.get("name", "custom")),
+            slope=finite(d.get("slope", cls.slope)),
+            name=str(d.get("name", cls.name)),
         )
 
 
@@ -214,41 +214,34 @@ def _conv_gemm(wmat: np.ndarray, xp: np.ndarray, k: int, out: np.ndarray) -> np.
 
 
 def _conv2d(xp: np.ndarray, w: np.ndarray, keep_cols: bool = False):
-    """Same-size convolution of an input padded by :func:`_pad_edge`.
+    """Same-size convolution of a padded input; the one driver of :func:`_conv_gemm`.
 
     xp: (C_in, B, H + k - 1, W + k - 1), w: (C_out, C_in, k, k) -> a new
-    (C_out, B, H, W) array of the dtype of `w`.  A column matrix of more than
-    `_COL_BUDGET` elements is processed in row slabs, each freed before the
-    next is made: every layer of a 176x176 ``spectral`` inference tile, and
-    layer 1 of a validation batch of 16 training patches.  With `keep_cols`
-    the whole padded column matrix of :func:`_conv_gemm` is returned for
-    gradient reuse, never in slabs (a training batch of 16 16x16 patches
-    keeps at most 1600 x 4096 elements, 52 MB, per layer).
+    (C_out, B, H, W) array of the dtype of `w`, and the padded column matrix
+    of :func:`_conv_gemm` when `keep_cols` is set (else None).  A column
+    matrix of more than `_COL_BUDGET` elements is processed in row slabs,
+    each freed before the next is made: every layer of a 176x176
+    ``spectral`` inference tile, layer 1 of a validation batch of 16
+    training patches, and layer 0's input gradient in :func:`backward`.
+    With `keep_cols` the whole column matrix is kept for gradient reuse,
+    never in slabs (a training batch of 16 16x16 patches keeps at most
+    1600 x 4096 elements, 52 MB, per layer).
     """
-    c_out, _, k, _ = w.shape
+    c_out, c_in, k, _ = w.shape
     _, B, Hp, Wp = xp.shape
+    H, W = Hp - k + 1, Wp - k + 1
     wmat = w.reshape(c_out, -1)
-    out = np.empty((c_out, B, Hp - k + 1, Wp - k + 1), w.dtype)
-    if keep_cols:
-        return out, _conv_gemm(wmat, xp, k, out)
-    _conv_gemm_slabbed(wmat, xp, k, out)
-    return out, None
-
-
-def _conv_gemm_slabbed(wmat: np.ndarray, xp: np.ndarray, k: int, out: np.ndarray) -> None:
-    """:func:`_conv_gemm` into `out`, through one row slab at a time when its
-    column matrix would pass `_COL_BUDGET` elements."""
-    C = xp.shape[0]
-    R, B, H, W = out.shape
-    if C * k * k * B * H * W <= _COL_BUDGET:
-        _conv_gemm(wmat, xp, k, out)
-        return
-    rows_per = max(1, _COL_BUDGET // max(1, C * k * k * B * W))
+    out = np.empty((c_out, B, H, W), w.dtype)
+    if keep_cols or c_in * k * k * B * H * W <= _COL_BUDGET:
+        cols = _conv_gemm(wmat, xp, k, out)
+        return out, cols if keep_cols else None
+    rows_per = max(1, _COL_BUDGET // (c_in * k * k * B * W))
     for r0 in range(0, H, rows_per):
         r1 = min(H, r0 + rows_per)
-        slab = np.empty((R, B, r1 - r0, W), wmat.dtype)
+        slab = np.empty((c_out, B, r1 - r0, W), w.dtype)
         _conv_gemm(wmat, xp[:, :, r0 : r1 + k - 1, :], k, slab)
         out[:, :, r0:r1, :] = slab
+    return out, None
 
 
 def _fold_replicate_padding(g: np.ndarray, p: int) -> np.ndarray:
@@ -272,13 +265,13 @@ def _conv2d_backward(cols: np.ndarray, w: np.ndarray, gout: np.ndarray,
     """Gradients of :func:`_conv2d` given its padded column matrix `cols`.
 
     gout: (C_out, B, H, W).  The weight gradient is one GEMM with `cols`.
-    The input gradient is the transposed convolution, computed as a direct
-    convolution (Dumoulin & Visin, arXiv:1603.07285, section 4): `gout`
-    zero-padded by k - 1 on each side, convolved with the weights flipped in
-    both spatial axes and with the channel axes swapped, gives the gradient of
-    the replicate-padded input, which the padding's adjoint folds onto the
-    interior.  Returns (grad_input (C_in, B, H, W), grad_weights); grad_input
-    is None unless `input_grad`.
+    The input gradient is the transposed convolution, run by :func:`_conv2d`
+    itself as a direct convolution (Dumoulin & Visin, arXiv:1603.07285,
+    section 4): `gout` zero-padded by k - 1 on each side, convolved with the
+    weights flipped in both spatial axes and with the channel axes swapped,
+    gives the gradient of the replicate-padded input, which the padding's
+    adjoint folds onto the interior.  Returns (grad_input (C_in, B, H, W),
+    grad_weights); grad_input is None unless `input_grad`.
     """
     c_out, c_in, k, _ = w.shape
     _, B, H, W = gout.shape
@@ -291,9 +284,7 @@ def _conv2d_backward(cols: np.ndarray, w: np.ndarray, gout: np.ndarray,
 
     gz = np.zeros((c_out, B, H + 4 * p, W + 4 * p))
     gz[:, :, 2 * p : 2 * p + H, 2 * p : 2 * p + W] = gout
-    w_t = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c_in, c_out * k * k)
-    gxp = np.empty((c_in, B, H + 2 * p, W + 2 * p))
-    _conv_gemm_slabbed(w_t, gz, k, gxp)
+    gxp, _ = _conv2d(gz, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
     return _fold_replicate_padding(gxp, p), gw
 
 
@@ -371,9 +362,10 @@ def backward(model: SrcnnModel, x: np.ndarray, grad_out: np.ndarray):
     """Exact gradients of the forward graph.
 
     Returns ``(weight_grads, input_grad)`` for one image; ``grad_out`` is the
-    loss gradient w.r.t. the network output.  The forward pass run first
-    keeps every layer's whole column matrix for the weight gradients, with no
-    slabs: about 108 MB for a 64x64 image through the ``spectral`` preset.
+    loss gradient w.r.t. the network output, whose shape is checked before
+    any pass runs.  The forward pass run first keeps every layer's whole
+    column matrix for the weight gradients, with no slabs: about 108 MB for a
+    64x64 image through the ``spectral`` preset.
     Training never needs the input gradient of layer 0; here it is computed
     as a direct convolution whose column matrix has C_out*k*k rows for layer
     0's kernel k and filter count C_out (5184 for a 9x9 kernel and 64
@@ -384,12 +376,10 @@ def backward(model: SrcnnModel, x: np.ndarray, grad_out: np.ndarray):
     instance("model", model, SrcnnModel, ConfigError)
     x = array("x", x, ShapeError, ndim=3, finite=True)
     grad_out = array("grad_out", grad_out, ShapeError, ndim=3, finite=True)
-    y, cache = _forward_batch(model, x[:, None], keep_cache=True)
-    if grad_out.shape != (y.shape[0], y.shape[2], y.shape[3]):
-        raise ShapeError(
-            f"grad_out shape {grad_out.shape} != output shape "
-            f"{(y.shape[0], y.shape[2], y.shape[3])}"
-        )
+    out_shape = (model.arch.out_channels, *x.shape[1:])
+    if grad_out.shape != out_shape:
+        raise ShapeError(f"grad_out shape {grad_out.shape} != output shape {out_shape}")
+    _, cache = _forward_batch(model, x[:, None], keep_cache=True)
     grads, gin = _backward_batch(model, cache, grad_out[:, None])
     return grads, gin[:, 0]
 

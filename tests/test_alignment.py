@@ -7,22 +7,7 @@ from satfuse.errors import AlignmentError, CoverageError, GeometryError, Validat
 from satfuse.raster import GeoGrid, Raster, block_mean
 from satfuse.synthetic import SceneConfig, degrade
 
-from conftest import make_grid, random_raster
-
-
-def smooth_raster(seed, width, height, n_bands=3, pixel=0.125, length=6.0):
-    """Spatially correlated random raster (something registration can lock onto)."""
-    from scipy.ndimage import gaussian_filter
-
-    rng = np.random.default_rng(seed)
-    noise = rng.standard_normal((n_bands, height, width))
-    vals = gaussian_filter(noise, sigma=(0, length, length), mode="reflect")
-    vals = 0.5 + 0.25 * vals / max(vals.std(), 1e-9)
-    return Raster(
-        make_grid(width, height, pixel),
-        np.clip(vals, 0, 1).astype(np.float32),
-        [f"b{i}" for i in range(n_bands)],
-    )
+from conftest import random_raster, smooth_raster
 
 
 class TestSnapToGrid:

@@ -214,6 +214,19 @@ class TestFitForest:
         with pytest.raises(ValidationError, match="X"):
             fit_forest(X, [1.0, 2.0])
 
+    @pytest.mark.parametrize("low, high", [(5e-324, 1e-323), (1.5e-323, 2e-323),
+                                           (1e308, 1.7e308), (-1.7e308, -1e308)])
+    def test_split_between_extreme_neighbours(self, low, high):
+        # the mean of the two rounds to `high` or overflows; such a threshold
+        # sent every row to one child, which grew forever (or divided by zero)
+        X = np.array([[low], [low], [high], [high]])
+        model = fit_forest(X, [0.0, 0.0, 1.0, 1.0],
+                           ForestConfig(n_trees=1, bootstrap=False, max_depth=4), seed=0)
+        tree = model.trees[0]
+        assert tree.feature.tolist() == [0, -1, -1]
+        assert low <= tree.threshold[0] < high
+        assert predict(model, X).tolist() == [0.0, 0.0, 1.0, 1.0]
+
 
 def forest_bytes(model) -> bytes:
     """Everything a model holds as bytes: config, seed, shape and every tree array."""
@@ -690,6 +703,14 @@ class TestSamplesCsv:
             save_samples_csv(p, quadrats, targets, np.ones((1, 1)), names)
         assert not p.exists()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_refused_before_the_file_is_opened(self, tmp_path, bad):
+        # load_samples_csv refuses a file holding one, so none is written
+        p = tmp_path / "samples.csv"
+        with pytest.raises(ValidationError, match="features must be"):
+            save_samples_csv(p, [Quadrat("q", 1.0, 1.0)], [1.0], np.array([[bad]]), ["b"])
+        assert not p.exists()
+
     def test_model_json_round_trip(self, tmp_path):
         X, y = linear_benchmark(n=50, seed=13)
         model = fit_forest(X, y, ForestConfig(n_trees=10), seed=5)
@@ -745,3 +766,100 @@ class TestSamplesCsv:
         p.write_text("{}")
         with pytest.raises(FormatError, match="trees"):
             ForestModel.from_json(p)
+
+
+def _leaf_and_inner(tree: dict) -> tuple[int, int]:
+    """The index of the first leaf and of the first internal node of a tree's JSON."""
+    return tree["feature"].index(-1), next(i for i, f in enumerate(tree["feature"]) if f >= 0)
+
+
+def _self_loop(doc):
+    _, inner = _leaf_and_inner(doc["trees"][0])
+    doc["trees"][0]["left"][inner] = doc["trees"][0]["right"][inner] = inner
+
+
+def _child_out_of_range(doc):
+    _, inner = _leaf_and_inner(doc["trees"][1])
+    doc["trees"][1]["right"][inner] = len(doc["trees"][1]["feature"])
+
+
+def _child_before_parent(doc):
+    tree = doc["trees"][0]
+    inner = max(i for i, f in enumerate(tree["feature"]) if f >= 0)
+    tree["left"][inner] = 0
+
+
+def _leaf_with_a_child(doc):
+    leaf, _ = _leaf_and_inner(doc["trees"][0])
+    doc["trees"][0]["left"][leaf] = len(doc["trees"][0]["feature"]) - 1
+
+
+def _set_feature(value):
+    def mutate(doc):
+        _, inner = _leaf_and_inner(doc["trees"][0])
+        doc["trees"][0]["feature"][inner] = value
+    return mutate
+
+
+def _tree_field(name, change):
+    def mutate(doc):
+        doc["trees"][1][name] = change(doc["trees"][1][name])
+    return mutate
+
+
+class TestModelJsonRefusesUnwalkableTrees:
+    """`from_json` refuses a forest that `predict` could not walk to a leaf of
+    every tree, or that would predict NaN, with a FormatError naming the file:
+    such a file used to make `predict` loop forever (a node that is its own
+    child), raise a bare IndexError or return NaN.  Each case calls only
+    `from_json`."""
+
+    @pytest.fixture(scope="class")
+    def doc(self, tmp_path_factory):
+        p = tmp_path_factory.mktemp("forest") / "forest.json"
+        fit_forest(*linear_benchmark(n=40, seed=3), ForestConfig(n_trees=2), seed=4).to_json(p)
+        return json.loads(p.read_text())
+
+    @pytest.mark.parametrize("mutate, message", [
+        # the five arrays are 1-D, of one length >= 1
+        pytest.param(_tree_field("value", lambda v: v[:-1]), "1-D, of one length",
+                     id="value-short"),
+        pytest.param(_tree_field("feature", lambda v: [v]), "1-D, of one length",
+                     id="feature-2d"),
+        pytest.param(lambda doc: doc["trees"][0].update({name: [] for name in doc["trees"][0]}),
+                     "1-D, of one length", id="no-nodes"),
+        # a feature is -1 or in [0, n_features)
+        pytest.param(_set_feature(8), r"feature must be -1 or in \[0, 8\)", id="feature-past-n"),
+        pytest.param(_set_feature(-2), r"feature must be -1 or in \[0, 8\)", id="feature-negative"),
+        # a leaf has both children -1
+        pytest.param(_leaf_with_a_child, "leaf", id="leaf-with-child"),
+        # an internal node's children come after it and before the node count
+        pytest.param(_self_loop, "children must come after it", id="self-loop"),
+        pytest.param(_child_before_parent, "children must come after it", id="child-first"),
+        pytest.param(_child_out_of_range, "children must come after it", id="child-past-n"),
+        # thresholds and values are finite
+        pytest.param(_tree_field("threshold", lambda v: [math.nan] + v[1:]), "finite",
+                     id="threshold-nan"),
+        pytest.param(_tree_field("value", lambda v: v[:-1] + [math.inf]), "finite",
+                     id="value-inf"),
+        # target_range is two finite numbers
+        pytest.param(lambda doc: doc.update(target_range=[0.0]), "target_range must be two",
+                     id="range-one"),
+        pytest.param(lambda doc: doc.update(target_range=[0.0, 1.0, 2.0]),
+                     "target_range must be two", id="range-three"),
+        pytest.param(lambda doc: doc.update(target_range=[0.0, math.inf]), "not a finite number",
+                     id="range-inf"),
+        # at least one tree, and as many as the config says
+        pytest.param(lambda doc: doc.update(trees=[]), "0 trees where the config has n_trees 2",
+                     id="no-trees"),
+        pytest.param(lambda doc: doc.update(trees=doc["trees"][:1]),
+                     "1 trees where the config has n_trees 2", id="too-few-trees"),
+    ])
+    def test_refused_with_a_format_error_naming_the_file(self, doc, tmp_path, mutate, message):
+        doc = json.loads(json.dumps(doc))
+        mutate(doc)
+        p = tmp_path / "forest.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=message) as err:
+            ForestModel.from_json(p)
+        assert str(p) in str(err.value)

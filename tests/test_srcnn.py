@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -284,6 +285,22 @@ class TestBackward:
         monkeypatch.setattr(srcnn, "_COL_BUDGET", 2**22)
         peak, _ = traced_peak(backward, m, x, g)
         assert peak - held < 2 * srcnn._COL_BUDGET * 8, (peak - held) / 1e6
+
+    def test_mismatched_grad_out_is_refused_before_the_forward_pass(self):
+        # the forward pass would keep 108 MB of column matrices for this image
+        m = build_model(preset("spectral"), seed=8)
+        rng = np.random.default_rng(8)
+        x = rng.uniform(size=(11, 64, 64))
+        g = rng.standard_normal((8, 64, 63))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ShapeError, match=r"grad_out shape \(8, 64, 63\) != output shape "
+                                                 r"\(8, 64, 64\)"):
+                backward(m, x, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6, peak / 1e6
 
     def test_batches_of_changing_sizes_match_scatter_oracle(self, monkeypatch):
         # batch 1, full batches of 4 and a short last batch, non-square patches
